@@ -127,8 +127,11 @@ class CRational:
         m = cls._PATTERN.match(text)
         if m is None:
             raise ValueError(f"cannot parse exact complex rational {text!r}")
-        re_part = Fraction(m.group(1))
-        im_part = Fraction(m.group(2)) if m.group(2) else Fraction(0)
+        try:
+            re_part = Fraction(m.group(1))
+            im_part = Fraction(m.group(2)) if m.group(2) else Fraction(0)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         return cls(re_part, im_part)
 
 
@@ -330,9 +333,13 @@ def word_from_dict(data: dict) -> TensorWord:
         if not isinstance(entry, dict) or "node" not in entry or "a" not in entry:
             raise ValueError(f"bad factor entry {entry!r}: need 'node' and 'a'")
         node = entry["node"]
-        if not isinstance(node, int):
-            raise ValueError(f"factor node must be an integer, got {node!r}")
-        factors.append(FundamentalFactor(node, CRational.parse(str(entry["a"]))))
+        if not isinstance(node, int) or isinstance(node, bool):
+            raise ValueError(f"factor 'node' must be an integer, got {node!r}")
+        try:
+            param = CRational.parse(str(entry["a"]))
+        except ValueError as exc:
+            raise ValueError(f"factor 'a': {exc}") from None
+        factors.append(FundamentalFactor(node, param))
     return TensorWord(lt, tuple(factors))
 
 
@@ -354,5 +361,8 @@ def tuple_from_dict(data: dict) -> DrinfeldTuple:
     for roots in polys:
         if not isinstance(roots, list):
             raise ValueError("each polynomial must be a list of root strings")
-        out.append(MonicPoly(tuple(CRational.parse(str(r)) for r in roots)))
+        try:
+            out.append(MonicPoly(tuple(CRational.parse(str(r)) for r in roots)))
+        except ValueError as exc:
+            raise ValueError(f"'polys' root: {exc}") from None
     return DrinfeldTuple(lt, tuple(out))

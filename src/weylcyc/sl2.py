@@ -6,10 +6,11 @@ modes follow from the ladder x_{k+1}^± = ±(1/2)[hbar1, x_k^±] and
 h_k = [x_k^+, x0^-], and the coproduct is fully explicit on this generating
 set, so tensor products are exact.
 
-Two linear-algebra oracles decide structure by fixpoint saturation with exact
+Two linear-algebra oracles decide structure by one fixpoint saturation with
 row reduction: `hw_closure` computes the submodule generated by the top
-vector, and `burnside_dim` computes the dimension of the generated matrix
-algebra (full iff the module is irreducible over the complex field).
+vector, exactly, and `burnside_dim` computes the dimension of the generated
+matrix algebra (full iff the module is irreducible over the complex field),
+certified modulo a prime when it is full and exactly otherwise.
 """
 
 from __future__ import annotations
@@ -302,55 +303,131 @@ def check_relations(module: Sl2Module, cutoff: int) -> list[str]:
     return bad
 
 
-class _Echelon:
-    """Row-reduced spanning set over the Gaussian rationals.
+class _Exact:
+    """Field arithmetic on CRational entries as they are."""
 
-    Rows are kept sorted by pivot with pivot entries normalized to 1; insert
-    returns the reduced residual (and extends the span) or None if the vector
-    was already in the span.
+    zero, one = ZERO, ONE
+
+    @staticmethod
+    def lift(x: CRational) -> CRational:
+        return x
+
+    @staticmethod
+    def norm(x):
+        return x
+
+    @staticmethod
+    def norm_vec(v: list) -> list:
+        return v
+
+    @staticmethod
+    def inv(x: CRational) -> CRational:
+        return ONE / x
+
+
+class _NotReducible(ArithmeticError):
+    """A Gaussian rational whose denominator the prime divides."""
+
+
+class _ModP:
+    """Field arithmetic in F_p on plain ints, p = 1 000 000 009.
+
+    p is prime and p = 1 (mod 4), so -1 has the square root I_MOD_P in F_p and
+    a Gaussian rational a + b i with denominators prime to p reduces to
+    a + b * I_MOD_P.  Elimination leaves ints unreduced between pivots; norm
+    and norm_vec bring them back into [0, p).
     """
 
-    def __init__(self, length: int):
+    P = 1_000_000_009
+    I_MOD_P = 430_477_711
+    zero, one = 0, 1
+
+    @classmethod
+    def lift(cls, x: CRational) -> int:
+        p = cls.P
+        out = 0
+        for part, unit in ((x.re, 1), (x.im, cls.I_MOD_P)):
+            if part:
+                if part.denominator % p == 0:
+                    raise _NotReducible(f"{p} divides the denominator of {x}")
+                out += part.numerator * pow(part.denominator, -1, p) * unit
+        return out % p
+
+    @classmethod
+    def norm(cls, x: int) -> int:
+        return x % cls.P
+
+    @classmethod
+    def norm_vec(cls, v: list[int]) -> list[int]:
+        p = cls.P
+        return [x % p for x in v]
+
+    @classmethod
+    def inv(cls, x: int) -> int:
+        return pow(x, -1, cls.P)
+
+
+class _Echelon:
+    """Row-reduced spanning set over a field (`_Exact` by default, or `_ModP`).
+
+    Rows are kept sorted by pivot with pivot entries normalized to 1, each as
+    its nonzero (column, entry) pairs; insert returns the reduced residual
+    (and extends the span) or None if the vector was already in the span.
+    """
+
+    def __init__(self, length: int, field=_Exact):
         self.length = length
-        self.rows: list[tuple[int, list[CRational]]] = []
+        self.field = field
+        self.rows: list[tuple[int, list[tuple[int, object]]]] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec: Sequence[CRational]):
+    def insert(self, vec: Sequence):
+        norm = self.field.norm
         v = list(vec)
-        for pivot, row in self.rows:
+        for pivot, items in self.rows:
             c = v[pivot]
             if c:
-                for j in range(pivot, self.length):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-        for j, x in enumerate(v):
+                c = norm(c)
+                if c:
+                    for j, x in items:
+                        v[j] = v[j] - c * x
+        v = self.field.norm_vec(v)
+        for lead, x in enumerate(v):
             if x:
-                lead = j
                 break
         else:
             return None
-        inv = ONE / v[lead]
-        for j in range(lead, self.length):
-            if v[j]:
-                v[j] = inv * v[j]
-        insort(self.rows, (lead, v), key=lambda pr: pr[0])
+        inv = self.field.inv(x)
+        v = self.field.norm_vec([inv * y if y else y for y in v])
+        insort(self.rows, (lead, [(j, x) for j, x in enumerate(v) if x]), key=lambda r: r[0])
         return v
 
-    def vectors(self) -> list[list[CRational]]:
-        return [list(row) for _, row in self.rows]
+    def vectors(self) -> list[list]:
+        out = []
+        for _, items in self.rows:
+            v = [self.field.zero] * self.length
+            for j, x in items:
+                v[j] = x
+            out.append(v)
+        return out
 
 
-def _sparse_entries(mat: ExactMatrix) -> list[tuple[int, int, CRational]]:
-    return [
-        (i, j, x) for i, row in enumerate(mat.rows) for j, x in enumerate(row) if x
-    ]
+def _sparse_entries(mat: ExactMatrix, field=_Exact) -> list[tuple[int, int, object]]:
+    entries = []
+    for i, row in enumerate(mat.rows):
+        for j, x in enumerate(row):
+            if x:
+                x = field.lift(x)
+                if x:
+                    entries.append((i, j, x))
+    return entries
 
 
-def _sparse_apply(entries, vec, length) -> list[CRational]:
-    out = [ZERO] * length
+def _sparse_apply(entries, vec, zero) -> list:
+    out = [zero] * len(vec)
     for i, j, x in entries:
         vj = vec[j]
         if vj:
@@ -358,80 +435,103 @@ def _sparse_apply(entries, vec, length) -> list[CRational]:
     return out
 
 
+def _saturate(ops, seeds, field) -> _Echelon:
+    """Span of the seeds closed under the sparse linear operators ops.
+
+    Only residuals found in the previous round are pushed through the
+    operators again; the loop ends when a round finds nothing new or the span
+    fills the space.
+    """
+    length = len(seeds[0])
+    basis = _Echelon(length, field)
+    frontier = [r for r in map(basis.insert, seeds) if r is not None]
+    rounds = 0
+    while frontier and basis.rank < length:
+        rounds += 1
+        if rounds > length + 1:
+            raise RuntimeError("saturation failed to stabilize; arithmetic bug")
+        new = []
+        for v in frontier:
+            for op in ops:
+                residual = basis.insert(_sparse_apply(op, v, field.zero))
+                if residual is not None:
+                    new.append(residual)
+            if basis.rank == length:
+                break
+        frontier = new
+    return basis
+
+
+def _generators(module: Sl2Module) -> tuple[ExactMatrix, ...]:
+    return (module.xp, module.xm, module.h0, module.hbar1)
+
+
 def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """Smallest subspace containing the top vector and invariant under the
-    four generators, by iterated application and row reduction to a fixpoint.
+    four generators, by iterated application and exact row reduction to a
+    fixpoint.
 
     The module is generated by its top vector iff the returned dimension
     equals the module dimension; the four generators suffice because every
     higher mode is an iterated hbar1-bracket of them.
     """
-    n = module.dim
-    ops = [
-        _sparse_entries(m) for m in (module.xp, module.xm, module.h0, module.hbar1)
-    ]
-    basis = _Echelon(n)
-    start = [ZERO] * n
+    start = [ZERO] * module.dim
     start[module.top_index] = ONE
-    frontier = [basis.insert(start)]
-    rounds = 0
-    while frontier and basis.rank < n:
-        rounds += 1
-        if rounds > n + 1:
-            raise RuntimeError("closure fixpoint failed to stabilize; arithmetic bug")
-        new = []
-        for v in frontier:
-            for op in ops:
-                residual = basis.insert(_sparse_apply(op, v, n))
-                if residual is not None:
-                    new.append(residual)
-            if basis.rank == n:
-                break
-        frontier = new
+    ops = [_sparse_entries(g) for g in _generators(module)]
+    basis = _saturate(ops, [start], _Exact)
     return basis.rank, basis.vectors()
 
 
-def _flatten(mat: ExactMatrix) -> list[CRational]:
-    return [x for row in mat.rows for x in row]
+def _algebra_rank(module: Sl2Module, field) -> int:
+    """Dimension over the field of the unital algebra the generators span.
 
-
-def _unflatten(vec: Sequence[CRational], n: int) -> ExactMatrix:
-    return ExactMatrix(tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n)))
+    The algebra is saturated as flattened n x n matrices (row i of a matrix
+    at i*n .. i*n+n-1) under left multiplication by each generator, starting
+    from the identity.  Raises _NotReducible if a generator entry does not
+    reduce into the field.
+    """
+    n = module.dim
+    ops = [
+        [(i * n + j, k * n + j, x) for i, k, x in _sparse_entries(g, field) for j in range(n)]
+        for g in _generators(module)
+    ]
+    identity = [field.zero] * (n * n)
+    for i in range(n):
+        identity[i * n + i] = field.one
+    return _saturate(ops, [identity], field).rank
 
 
 def burnside_dim(module: Sl2Module) -> int:
     """Dimension of the unital matrix algebra generated by the four operators.
 
-    Saturation keeps the found algebra as a row-reduced set of flattened
-    matrices and only multiplies generators against newly found elements.
     The module is irreducible over the complex field iff the result is dim^2:
     the rank of an exact-entry span does not change under field extension,
     and density of the image algebra characterizes irreducibility over an
     algebraically closed field.
+
+    The saturation runs first over F_p (`_ModP`), and a full span there is
+    returned at once.  That is sound: when p divides no denominator, every
+    generator entry lies in the ring Z_(p)[i] of Gaussian rationals with
+    denominators prime to p, and reduction a + b i -> a + b r (r^2 = -1 in
+    F_p) is a ring map from it onto F_p.  It maps each word in the
+    generators to the same word in the reduced generators, so the span the
+    saturation finds mod p is spanned by the images of the words.  If n^2
+    reduced words are independent, an n^2 x n^2 minor of their flattened
+    entries is nonzero mod p.  That minor is an integer polynomial in entries
+    of Z_(p)[i], so it reduces to the minor of the reduced words and is
+    nonzero over Q(i) as well: the n^2 words are independent there.  Rank can
+    only drop under reduction, so a full span mod p proves a full span over
+    Q(i).  A smaller rank mod p proves nothing (p may divide every such
+    minor), and a denominator divisible by p leaves no reduction at all; both
+    fall back to the exact saturation, whose value is returned.
     """
-    n = module.dim
-    gens = [module.xp, module.xm, module.h0, module.hbar1]
-    basis = _Echelon(n * n)
-    frontier = []
-    for seed in [ExactMatrix.identity(n), *gens]:
-        residual = basis.insert(_flatten(seed))
-        if residual is not None:
-            frontier.append(_unflatten(residual, n))
-    rounds = 0
-    while frontier and basis.rank < n * n:
-        rounds += 1
-        if rounds > n * n + 1:
-            raise RuntimeError("algebra saturation failed to stabilize; arithmetic bug")
-        new = []
-        for b in frontier:
-            for g in gens:
-                residual = basis.insert(_flatten(g @ b))
-                if residual is not None:
-                    new.append(_unflatten(residual, n))
-            if basis.rank == n * n:
-                break
-        frontier = new
-    return basis.rank
+    full = module.dim * module.dim
+    try:
+        if _algebra_rank(module, _ModP) == full:
+            return full
+    except _NotReducible:
+        pass
+    return _algebra_rank(module, _Exact)
 
 
 def apply_shift(module: Sl2Module, c) -> Sl2Module:

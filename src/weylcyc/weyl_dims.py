@@ -58,8 +58,8 @@ def table_from_dict(data: dict) -> FundamentalDimTable:
             node = int(key)
         except (TypeError, ValueError):
             raise ValueError(f"bad node key {key!r}") from None
-        if not isinstance(value, int):
-            raise ValueError(f"dimension for node {key} must be an integer")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"'dims' entry for node {key} must be an integer, got {value!r}")
         dims[node] = value
     return FundamentalDimTable(lt, dims, "user")
 

@@ -77,6 +77,44 @@ def test_check_bad_node_exit_one(capsys):
     assert code == 1 and "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (
+            ["check", "--word", '{"type":"A1","factors":[{"node":true,"a":"0"},{"node":1,"a":"1"}]}'],
+            "'node'",
+        ),
+        (
+            [
+                "dims",
+                "--tuple",
+                '{"type":"C3","polys":[["0"],["1"],[]]}',
+                "--table",
+                '{"type":"C3","dims":{"1":true,"2":14,"3":14}}',
+            ],
+            "'dims' entry for node 1",
+        ),
+    ],
+)
+def test_json_boolean_is_not_an_integer(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert field in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/0"}]}'], "factor 'a'"),
+        (["factorize", "--tuple", '{"type":"A1","polys":[["2","1/0"]]}'], "'polys' root"),
+    ],
+)
+def test_zero_denominator_names_the_field(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert field in err and "zero denominator" in err
+
+
 def test_dual_reports_kappa(capsys):
     word = '{"type":"A2","factors":[{"node":1,"a":"0"},{"node":2,"a":"1"}]}'
     code, out, _ = run(capsys, "dual", "--word", word)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylcyc import (
     CRational,
@@ -15,7 +17,8 @@ from weylcyc import (
     mode_operators,
     tensor,
 )
-from weylcyc.sl2 import _Echelon, commutator, kron
+from weylcyc import sl2
+from weylcyc.sl2 import _Echelon, _Exact, _ModP, _NotReducible, _algebra_rank, commutator, kron
 
 
 def cr(re, im=0):
@@ -219,8 +222,97 @@ class TestBurnside:
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
 
     def test_reducible_pair(self):
-        # proper value computed once by the saturation oracle, frozen since
-        assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))) == 13
+        # proper value computed once by the saturation oracle, frozen since;
+        # the mod-p rank is short of 16, so the value comes from the exact path
+        module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))
+        assert _algebra_rank(module, _ModP) < 16
+        assert burnside_dim(module) == 13
+
+    @pytest.mark.parametrize(
+        "factors, expected",
+        [
+            (((1, 0), (1, 1), (1, Fraction(5, 2))), 52),
+            (((1, Fraction(5, 2)), (1, 0), (1, 1)), 52),
+            (((1, 0), (2, 1)), 28),
+        ],
+    )
+    def test_rank_deficient_falls_back_to_exact(self, factors, expected):
+        # proper values computed once by the exact saturation oracle, frozen since
+        module = word_module([(m, cr(a)) for m, a in factors])
+        assert _algebra_rank(module, _ModP) < module.dim**2
+        assert burnside_dim(module) == expected
+
+
+def word_module(factors):
+    module = irrep_Wm(*factors[0])
+    for m, a in factors[1:]:
+        module = tensor(module, irrep_Wm(m, a))
+    return module
+
+
+class TestModularCertificate:
+    def test_prime_and_square_root_of_minus_one(self):
+        p = _ModP.P
+        assert p % 4 == 1
+        assert all(p % d for d in range(2, int(p**0.5) + 1))
+        assert _ModP.I_MOD_P**2 % p == p - 1
+
+    def test_lift_is_a_ring_map_on_samples(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            x = cr(random_rational(rng), random_rational(rng))
+            y = cr(random_rational(rng), random_rational(rng))
+            assert _ModP.lift(x * y) == _ModP.lift(x) * _ModP.lift(y) % _ModP.P
+            assert _ModP.lift(x - y) == (_ModP.lift(x) - _ModP.lift(y)) % _ModP.P
+
+    def test_full_span_is_certified_mod_p(self, monkeypatch):
+        fields = []
+
+        def spy(module, field):
+            fields.append(field)
+            return _algebra_rank(module, field)
+
+        monkeypatch.setattr(sl2, "_algebra_rank", spy)
+        assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
+        assert fields == [_ModP]
+
+    def test_rank_lost_mod_p_is_not_trusted(self):
+        # a gap of 1 + p reduces to the reducible gap 1 mod p, but the exact
+        # algebra is full: only gaps of +-1 make a W1 pair reducible
+        module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1 + _ModP.P)))
+        assert _algebra_rank(module, _ModP) == 13
+        assert burnside_dim(module) == 16
+
+    def test_denominator_divisible_by_p_takes_exact_path(self):
+        eps = Fraction(1, _ModP.P)
+        for gap, expected in ((3, 16), (1, 13)):
+            module = tensor(irrep_Wm(1, cr(eps)), irrep_Wm(1, cr(eps + gap)))
+            with pytest.raises(_NotReducible):
+                _algebra_rank(module, _ModP)
+            assert burnside_dim(module) == _algebra_rank(module, _Exact) == expected
+
+    @given(
+        factors=st.lists(
+            st.tuples(
+                st.integers(1, 3),
+                st.integers(-6, 6).map(lambda k: Fraction(k, 2)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        im=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-2)]),
+        shift=st.tuples(st.fractions(-3, 3, max_denominator=7), st.fractions(-3, 3, max_denominator=7)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_certified_equals_exact(self, factors, im, shift):
+        dim = 1
+        for m, _ in factors:
+            dim *= m + 1
+        # the exact oracle saturates in dim^2, so keep dim^2 <= 64
+        assume(dim <= 8)
+        module = word_module([(m, cr(a, im)) for m, a in factors])
+        for image in (module, apply_shift(module, cr(*shift))):
+            assert burnside_dim(image) == _algebra_rank(image, _Exact)
 
 
 class TestShift:
