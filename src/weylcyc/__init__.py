@@ -52,10 +52,8 @@ from .sl2 import (
     tensor,
 )
 from .weyl_dims import (
-    DimReport,
     FundamentalDimTable,
     builtin_table,
-    dim_bound_report,
     dim_local_weyl,
 )
 

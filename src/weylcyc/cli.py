@@ -171,14 +171,14 @@ def _cmd_dims(args) -> int:
         table = weyl_dims.table_from_dict(_load_json(args.table, "table"))
     else:
         table = weyl_dims.builtin_table(t.type)
-    result = weyl_dims.dim_bound_report(t, table)
+    dim = weyl_dims.dim_local_weyl(t, table)
     report = {
         "tuple": tuple_to_dict(t),
-        "weyl_dim": result.weyl_dim,
-        "bound": result.bound,
+        "weyl_dim": dim,
+        "bound": dim,
         "table_source": table.source,
     }
-    lines = [f"local Weyl dimension {result.weyl_dim} (bound {result.bound}, attained)"]
+    lines = [f"local Weyl dimension {dim} (bound {dim}, attained)"]
     _emit(report, args.pretty, lines)
     return 0
 

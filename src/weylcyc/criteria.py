@@ -208,6 +208,32 @@ def derive_s_from_t(data: CartanData, bm: int, bn: int) -> SSet:
     return SSet(frozenset(members))
 
 
+def _pair_scan(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
+    """Violations of the pairwise condition, sorted by position pair (m, n).
+
+    One pass over m < n: a real d = a_n - a_m is checked against S(b_m, b_n),
+    and with both_orders -d against S(b_n, b_m) for the pair (n, m).  S-set
+    members are positive, so the sign of d says which of the two can hit.
+    """
+    data = cartan_data(w.type)
+    factors = w.factors
+    violations = []
+    for m in range(len(factors)):
+        fm = factors[m]
+        for n in range(m + 1, len(factors)):
+            fn = factors[n]
+            diff = fn.param - fm.param
+            if diff.is_real:
+                d = diff.re
+                if d > 0 and d in s_set(data, fm.node, fn.node):
+                    violations.append(PairViolation(m + 1, n + 1, diff, d))
+                elif both_orders and d < 0 and -d in s_set(data, fn.node, fm.node):
+                    violations.append(PairViolation(n + 1, m + 1, -diff, -d))
+    if both_orders:
+        violations.sort(key=lambda v: (v.m, v.n))
+    return tuple(violations)
+
+
 def is_cyclic(w: TensorWord) -> CyclicityReport:
     """Check the pairwise sufficient condition for the ordered product to be
     generated by the product of top vectors.
@@ -217,17 +243,8 @@ def is_cyclic(w: TensorWord) -> CyclicityReport:
     violation does not disprove it (except as sharpened by type A
     irreducibility).
     """
-    data = cartan_data(w.type)
-    violations = []
-    factors = w.factors
-    for m in range(len(factors)):
-        for n in range(m + 1, len(factors)):
-            diff = factors[n].param - factors[m].param
-            if diff.is_real:
-                forbidden = s_set(data, factors[m].node, factors[n].node)
-                if diff.re in forbidden:
-                    violations.append(PairViolation(m + 1, n + 1, diff, diff.re))
-    return CyclicityReport(not violations, tuple(violations))
+    violations = _pair_scan(w, both_orders=False)
+    return CyclicityReport(not violations, violations)
 
 
 def is_irreducible(w: TensorWord) -> IrreducibilityVerdict:
@@ -237,25 +254,14 @@ def is_irreducible(w: TensorWord) -> IrreducibilityVerdict:
     violation, type A words are proven reducible (the criterion is an
     equivalence there); for B/C/D nothing is concluded.
     """
-    data = cartan_data(w.type)
-    violations = []
-    factors = w.factors
-    for i in range(len(factors)):
-        for j in range(len(factors)):
-            if i == j:
-                continue
-            diff = factors[j].param - factors[i].param
-            if diff.is_real:
-                forbidden = s_set(data, factors[i].node, factors[j].node)
-                if diff.re in forbidden:
-                    violations.append(PairViolation(i + 1, j + 1, diff, diff.re))
+    violations = _pair_scan(w, both_orders=True)
     if not violations:
         status = IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
     elif w.type.family == "A":
         status = IrreducibilityStatus.REDUCIBLE_PROVEN
     else:
         status = IrreducibilityStatus.NOT_GUARANTEED
-    return IrreducibilityVerdict(status, tuple(violations))
+    return IrreducibilityVerdict(status, violations)
 
 
 def left_dual(w: TensorWord) -> TensorWord:

@@ -1,4 +1,4 @@
-"""Concrete rank-1 Yangian modules as exact matrices.
+"""Concrete rank-1 Yangian modules as exact sparse matrices.
 
 A module is carried entirely by four generator matrices: the raising and
 lowering modes x0+, x0-, the grading h0, and hbar1 = h1 - h0^2/2.  All higher
@@ -23,16 +23,42 @@ from typing import Iterable, Sequence
 from .drinfeld import ONE, ZERO, CRational
 
 
+Row = tuple[tuple[int, CRational], ...]
+
+
+def _exact(x) -> CRational:
+    return x if type(x) is CRational else CRational(x)
+
+
+def _collect(pairs: Iterable[tuple[int, CRational]]) -> Row:
+    """Canonical row from (column, entry) pairs: repeated columns summed,
+    zero sums dropped, columns in increasing order."""
+    acc: dict[int, CRational] = {}
+    for j, x in pairs:
+        acc[j] = acc[j] + x if j in acc else x
+    return tuple((j, x) for j, x in sorted(acc.items()) if x)
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense square matrix of CRational entries; rows of columns."""
+    """Sparse square matrix of CRational entries.
 
-    rows: tuple[tuple[CRational, ...], ...]
+    Row i is the tuple of its nonzero (column, entry) pairs in increasing
+    column order.  The form is canonical, so == and hashing compare values.
+    """
+
+    rows: tuple[Row, ...]
 
     def __post_init__(self):
         n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows):
+        if n == 0:
             raise ValueError("matrix must be square and nonempty")
+        for i, row in enumerate(self.rows):
+            last = -1
+            for j, x in row:
+                if not (last < j < n and x):
+                    raise ValueError(f"row {i}: column {j} is out of order, out of range or zero")
+                last = j
 
     @property
     def n(self) -> int:
@@ -40,86 +66,73 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
+        """From dense rows of entries (CRational or anything it accepts)."""
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square and nonempty")
         return cls(
             tuple(
-                tuple(x if type(x) is CRational else CRational(x) for x in row)
+                tuple((j, x) for j, x in enumerate(map(_exact, row)) if x)
                 for row in rows
             )
         )
 
     @classmethod
     def zero(cls, n: int) -> "ExactMatrix":
-        return cls(tuple(tuple(ZERO for _ in range(n)) for _ in range(n)))
+        return cls(((),) * n)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-        )
+        return cls(tuple(((i, ONE),) for i in range(n)))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        return ExactMatrix(tuple(_collect(ra + rb) for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self + -other
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return ExactMatrix(tuple(tuple((j, -x) for j, x in row) for row in self.rows))
 
     def scale(self, c) -> "ExactMatrix":
-        c = c if type(c) is CRational else CRational(c)
-        return ExactMatrix(tuple(tuple(c * a for a in row) for row in self.rows))
+        c = _exact(c)
+        if not c:
+            return ExactMatrix.zero(self.n)
+        return ExactMatrix(tuple(tuple((j, c * x) for j, x in row) for row in self.rows))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        n = self.n
-        if other.n != n:
+        if other.n != self.n:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            nz = [(k, a) for k, a in enumerate(row) if a]
-            out.append(
-                tuple(
-                    sum((a * col[k] for k, a in nz if col[k]), ZERO) for col in cols
-                )
-            )
-        return ExactMatrix(tuple(out))
+        b = other.rows
+        return ExactMatrix(
+            tuple(_collect((k, x * y) for j, x in row for k, y in b[j]) for row in self.rows)
+        )
 
     def apply(self, vec: Sequence[CRational]) -> list[CRational]:
-        return [
-            sum((a * vec[j] for j, a in enumerate(row) if a and vec[j]), ZERO)
-            for row in self.rows
-        ]
+        return [sum((x * vec[j] for j, x in row if vec[j]), ZERO) for row in self.rows]
 
     def entry(self, i: int, j: int) -> CRational:
-        return self.rows[i][j]
+        return dict(self.rows[i]).get(j, ZERO)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; the left factor index varies slowest."""
-    na, nb = a.n, b.n
-    rows = []
-    for i1 in range(na):
-        for i2 in range(nb):
-            row = []
-            for j1 in range(na):
-                x = a.rows[i1][j1]
-                if x:
-                    row.extend(x * y if y else ZERO for y in b.rows[i2])
-                else:
-                    row.extend([ZERO] * nb)
-            rows.append(tuple(row))
-    return ExactMatrix(tuple(rows))
+    """Kronecker product; the left factor index varies slowest.
+
+    Products with the shared ONE (the entries of `identity`) are skipped.
+    """
+    nb = b.n
+    return ExactMatrix(
+        tuple(
+            tuple(
+                (j1 * nb + j2, x if y is ONE else y if x is ONE else x * y)
+                for j1, x in ra
+                for j2, y in rb
+            )
+            for ra in a.rows
+            for rb in b.rows
+        )
+    )
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -169,6 +182,10 @@ class ModeOperators:
         return len(self.h) - 1
 
 
+def _diagonal(values: Iterable[CRational]) -> ExactMatrix:
+    return ExactMatrix(tuple(((s, x),) if x else () for s, x in enumerate(values)))
+
+
 def irrep_Wm(m: int, a) -> Sl2Module:
     """The (m+1)-dimensional irreducible with root string a, a+1, ..., a+m-1.
 
@@ -181,27 +198,19 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = a if type(a) is CRational else CRational(a)
+    a = _exact(a)
     n = m + 1
-    xp = [[ZERO] * n for _ in range(n)]
-    xm = [[ZERO] * n for _ in range(n)]
-    h0 = [[ZERO] * n for _ in range(n)]
-    hbar1 = [[ZERO] * n for _ in range(n)]
-    for s in range(n):
-        if s + 1 < n:
-            xp[s + 1][s] = CRational(s + 1)
-        if s - 1 >= 0:
-            xm[s - 1][s] = CRational(m - s + 1)
-        h0[s][s] = CRational(2 * s - m)
-        h1_val = (a + (s - 1)) * CRational(s * (m - s + 1)) - (a + s) * CRational(
-            (s + 1) * (m - s)
-        )
-        hbar1[s][s] = h1_val - CRational(Fraction((2 * s - m) ** 2, 2))
     return Sl2Module(
-        xp=ExactMatrix.from_rows(xp),
-        xm=ExactMatrix.from_rows(xm),
-        h0=ExactMatrix.from_rows(h0),
-        hbar1=ExactMatrix.from_rows(hbar1),
+        # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
+        xp=ExactMatrix(((),) + tuple(((s, CRational(s + 1)),) for s in range(m))),
+        xm=ExactMatrix(tuple(((s + 1, CRational(m - s)),) for s in range(m)) + ((),)),
+        h0=_diagonal(CRational(2 * s - m) for s in range(n)),
+        hbar1=_diagonal(
+            (a + (s - 1)) * (s * (m - s + 1))
+            - (a + s) * ((s + 1) * (m - s))
+            - CRational(Fraction((2 * s - m) ** 2, 2))
+            for s in range(n)
+        ),
         basis_labels=tuple(f"w{s}" for s in range(n)),
         top_index=m,
     )
@@ -415,15 +424,10 @@ class _Echelon:
         return out
 
 
-def _sparse_entries(mat: ExactMatrix, field=_Exact) -> list[tuple[int, int, object]]:
-    entries = []
-    for i, row in enumerate(mat.rows):
-        for j, x in enumerate(row):
-            if x:
-                x = field.lift(x)
-                if x:
-                    entries.append((i, j, x))
-    return entries
+def _lifted_entries(mat: ExactMatrix, field) -> list[tuple[int, int, object]]:
+    """The nonzero entries of mat as (row, column, value) over the field."""
+    lifted = ((i, j, field.lift(x)) for i, row in enumerate(mat.rows) for j, x in row)
+    return [entry for entry in lifted if entry[2]]
 
 
 def _sparse_apply(entries, vec, zero) -> list:
@@ -477,7 +481,7 @@ def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """
     start = [ZERO] * module.dim
     start[module.top_index] = ONE
-    ops = [_sparse_entries(g) for g in _generators(module)]
+    ops = [_lifted_entries(g, _Exact) for g in _generators(module)]
     basis = _saturate(ops, [start], _Exact)
     return basis.rank, basis.vectors()
 
@@ -492,7 +496,7 @@ def _algebra_rank(module: Sl2Module, field) -> int:
     """
     n = module.dim
     ops = [
-        [(i * n + j, k * n + j, x) for i, k, x in _sparse_entries(g, field) for j in range(n)]
+        [(i * n + j, k * n + j, x) for i, k, x in _lifted_entries(g, field) for j in range(n)]
         for g in _generators(module)
     ]
     identity = [field.zero] * (n * n)
@@ -540,7 +544,7 @@ def apply_shift(module: Sl2Module, c) -> Sl2Module:
     On the generating set the shift fixes x0^±, h0 and sends hbar1 to
     hbar1 + c * h0.
     """
-    c = c if type(c) is CRational else CRational(c)
+    c = _exact(c)
     return Sl2Module(
         xp=module.xp,
         xm=module.xm,
@@ -558,7 +562,7 @@ def local_weyl_sl2(roots: Iterable) -> Sl2Module:
     non-increasing real part (ties by non-increasing imaginary part), the
     order along which the product of top vectors generates everything.
     """
-    parsed = [a if type(a) is CRational else CRational(a) for a in roots]
+    parsed = [_exact(a) for a in roots]
     if not parsed:
         raise ValueError("root multiset must be nonempty")
     parsed.sort(key=lambda a: (-a.re, -a.im))

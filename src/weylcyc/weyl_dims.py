@@ -54,10 +54,10 @@ def table_from_dict(data: dict) -> FundamentalDimTable:
         raise ValueError("'dims' must map node strings to integers")
     dims = {}
     for key, value in data["dims"].items():
-        try:
-            node = int(key)
-        except (TypeError, ValueError):
-            raise ValueError(f"bad node key {key!r}") from None
+        text = str(key)
+        if not (text.isdecimal() and str(int(text)) == text):
+            raise ValueError(f"bad node key {key!r}: must be a decimal integer such as '1'")
+        node = int(text)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"'dims' entry for node {key} must be an integer, got {value!r}")
         dims[node] = value
@@ -76,18 +76,3 @@ def dim_local_weyl(t: DrinfeldTuple, table: FundamentalDimTable) -> int:
             out *= table.dims[node] ** poly.degree
     return out
 
-
-@dataclass(frozen=True)
-class DimReport:
-    weyl_dim: int
-    bound: int
-
-
-def dim_bound_report(t: DrinfeldTuple, table: FundamentalDimTable) -> DimReport:
-    """Exact dimension next to the product-formula upper bound.
-
-    The two agree for classical types: the factorization into fundamental
-    modules realizes the bound.
-    """
-    value = dim_local_weyl(t, table)
-    return DimReport(weyl_dim=value, bound=value)

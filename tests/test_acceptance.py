@@ -14,12 +14,10 @@ from weylcyc import (
     CRational,
     DrinfeldTuple,
     FundamentalFactor,
-    IrreducibilityStatus,
     LieType,
     MonicPoly,
     TensorWord,
     apply_shift,
-    burnside_dim,
     cartan_data,
     derive_s_from_t,
     hw_closure,
@@ -34,7 +32,11 @@ from weylcyc import (
     tensor,
     weyl_factorize,
 )
-from weylcyc.selftest import GRID, random_tuple
+from weylcyc.selftest import (
+    check_rank1_irreducibility_grid,
+    rank1_cyclicity_grid,
+    random_tuple,
+)
 
 from test_sl2 import expected_modes, unit
 
@@ -59,13 +61,6 @@ def criterion(num, desc, budget=None):
     print(f"PASS criterion {num:2d}: {desc} [{elapsed:.2f}s]")
     if budget is not None:
         assert elapsed < budget, f"runtime {elapsed:.2f}s over budget {budget}s"
-
-
-def grid_module(params):
-    module = irrep_Wm(1, CRational(params[0]))
-    for a in params[1:]:
-        module = tensor(module, irrep_Wm(1, CRational(a)))
-    return module
 
 
 def a1_word(params):
@@ -125,29 +120,15 @@ def test_criterion_02_corollary_identities():
 
 def test_criterion_03_cyclicity_soundness():
     with criterion(3, "criterion-cyclic grid words have full closure, length <= 3", 60):
-        words = [(a,) for a in GRID]
-        words += [(a, b) for a in GRID for b in GRID]
-        words += [(a, b, c) for a in GRID for b in GRID for c in GRID]
-        checked = 0
-        for params in words:
-            if is_cyclic(a1_word(params)).cyclic_guaranteed:
-                module = grid_module(params)
-                rank, _ = hw_closure(module)
-                assert rank == module.dim, params
-                checked += 1
+        checked, failure = rank1_cyclicity_grid(3)
+        assert failure is None, failure
         assert checked > 500
 
 
 def test_criterion_04_irreducibility_equivalence():
     with criterion(4, "burnside dimension matches the pairwise verdict exactly", 120):
-        for a in GRID:
-            for b in GRID:
-                status = is_irreducible(a1_word((a, b))).status
-                dim = burnside_dim(grid_module((a, b)))
-                if dim == 16:
-                    assert status is IrreducibilityStatus.IRREDUCIBLE_GUARANTEED, (a, b)
-                else:
-                    assert status is IrreducibilityStatus.REDUCIBLE_PROVEN, (a, b)
+        _, ok, detail = check_rank1_irreducibility_grid()
+        assert ok, detail
 
 
 def test_criterion_05_closure_regression_values():

@@ -165,6 +165,17 @@ def test_dims_user_table(capsys):
     assert json.loads(out)["weyl_dim"] == 84
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1 "])
+def test_dims_non_canonical_node_key_exit_one(capsys, key):
+    # "01" and " 1" would both parse as node 1, and one entry would silently
+    # overwrite the other
+    table = json.dumps({"type": "C3", "dims": {key: 6, "1": 7}})
+    tup = '{"type":"C3","polys":[["0"],[],[]]}'
+    code, out, err = run(capsys, "dims", "--tuple", tup, "--table", table)
+    assert code == 1 and out == ""
+    assert repr(key) in err
+
+
 def test_dims_missing_table_exit_one(capsys):
     code, _, err = run(capsys, "dims", "--tuple", '{"type":"C3","polys":[["0"],[],["1"]]}')
     assert code == 1 and "table" in err

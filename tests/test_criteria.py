@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylcyc import (
     CRational,
@@ -10,6 +12,7 @@ from weylcyc import (
     IrreducibilityStatus,
     LieType,
     MonicPoly,
+    PairViolation,
     TensorWord,
     cartan_data,
     derive_s_from_t,
@@ -190,6 +193,72 @@ class TestIrreducibility:
     def test_non_type_a_gives_not_guaranteed(self):
         verdict = is_irreducible(word("C3", (1, 0, 0), (1, 4, 0)))
         assert verdict.status is IrreducibilityStatus.NOT_GUARANTEED
+
+
+def reference_cyclic_violations(w):
+    """The quadratic loop is_cyclic ran before the shared scan."""
+    data = cartan_data(w.type)
+    violations = []
+    factors = w.factors
+    for m in range(len(factors)):
+        for n in range(m + 1, len(factors)):
+            diff = factors[n].param - factors[m].param
+            if diff.is_real:
+                forbidden = s_set(data, factors[m].node, factors[n].node)
+                if diff.re in forbidden:
+                    violations.append(PairViolation(m + 1, n + 1, diff, diff.re))
+    return tuple(violations)
+
+
+def reference_irreducible_violations(w):
+    """The loop over all ordered pairs is_irreducible ran before the shared scan."""
+    data = cartan_data(w.type)
+    violations = []
+    factors = w.factors
+    for i in range(len(factors)):
+        for j in range(len(factors)):
+            if i == j:
+                continue
+            diff = factors[j].param - factors[i].param
+            if diff.is_real:
+                forbidden = s_set(data, factors[i].node, factors[j].node)
+                if diff.re in forbidden:
+                    violations.append(PairViolation(i + 1, j + 1, diff, diff.re))
+    return tuple(violations)
+
+
+@st.composite
+def tensor_words(draw):
+    family, lo = draw(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 3)]))
+    lt = LieType(family, draw(st.integers(lo, 6)))
+    factor = st.builds(
+        FundamentalFactor,
+        st.integers(1, lt.rank),
+        st.builds(
+            CRational,
+            st.integers(-12, 12).map(lambda k: Fraction(k, 2)),
+            st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)]),
+        ),
+    )
+    return TensorWord(lt, tuple(draw(st.lists(factor, min_size=1, max_size=12))))
+
+
+class TestPairScanAgainstReference:
+    @given(w=tensor_words())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadratic_loops(self, w):
+        cyc = is_cyclic(w)
+        assert cyc.violations == reference_cyclic_violations(w)
+        irr = is_irreducible(w)
+        expected = reference_irreducible_violations(w)
+        assert irr.evidence == expected
+        assert [str(v.diff) for v in irr.evidence] == [str(v.diff) for v in expected]
+        if not expected:
+            assert irr.status is IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
+        elif w.type.family == "A":
+            assert irr.status is IrreducibilityStatus.REDUCIBLE_PROVEN
+        else:
+            assert irr.status is IrreducibilityStatus.NOT_GUARANTEED
 
 
 class TestLeftDual:

@@ -56,11 +56,107 @@ def expected_modes(m, a, k):
     )
 
 
+# Dense reference: the list-of-lists arithmetic that ExactMatrix used to
+# carry, kept as the oracle for the sparse form.
+
+ZERO = CRational(0)
+
+
+def dense_of(m):
+    """Dense rows of m, read off its stored (column, entry) pairs."""
+    out = [[ZERO] * m.n for _ in range(m.n)]
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def dense_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in cols] for row in a]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_apply(a, v):
+    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+
+
+# Gaussian rationals, zero about half the time, small enough that sums cancel.
+gaussian = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        CRational,
+        st.fractions(-2, 2, max_denominator=2),
+        st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)]),
+    ),
+)
+
+
+def dense_matrices(n):
+    return st.lists(st.lists(gaussian, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+class TestSparseAgainstDense:
+    @given(data=st.data(), n=st.integers(1, 5), nb=st.integers(1, 3), c=gaussian)
+    @settings(max_examples=50, deadline=None)
+    def test_operations_match_dense_reference(self, data, n, nb, c):
+        a, b = data.draw(dense_matrices(n)), data.draw(dense_matrices(n))
+        small = data.draw(dense_matrices(nb))
+        v = data.draw(st.lists(gaussian, min_size=n, max_size=n))
+        ma, mb = ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
+        ms = ExactMatrix.from_rows(small)
+        assert dense_of(ma) == a
+        assert all(ma.entry(i, j) == a[i][j] for i in range(n) for j in range(n))
+        assert ma + mb == ExactMatrix.from_rows(dense_add(a, b))
+        assert ma - mb == ExactMatrix.from_rows(dense_sub(a, b))
+        assert ma @ mb == ExactMatrix.from_rows(dense_matmul(a, b))
+        assert ma.scale(c) == ExactMatrix.from_rows(dense_scale(a, c))
+        assert kron(ma, ms) == ExactMatrix.from_rows(dense_kron(a, small))
+        assert kron(ms, ma) == ExactMatrix.from_rows(dense_kron(small, a))
+        assert ma.apply(v) == dense_apply(a, v)
+        zero = ExactMatrix.zero(n)
+        assert ma + (-ma) == zero and ma - ma == zero
+        assert hash(ma + (-ma)) == hash(zero)
+        eye = ExactMatrix.identity(n)
+        assert eye @ ma == ma @ eye == ma
+        assert kron(ExactMatrix.identity(1), ma) == ma
+
+    def test_rejects_non_canonical_rows(self):
+        one = CRational(1)
+        for rows in [
+            (((0, ZERO),), ()),  # stored zero
+            (((1, one), (0, one)), ()),  # unsorted columns
+            (((0, one), (0, one)), ()),  # repeated column
+            (((2, one),), ()),  # column out of range
+            (((-1, one),), ()),
+            (),  # empty
+        ]:
+            with pytest.raises(ValueError):
+                ExactMatrix(rows)
+        with pytest.raises(ValueError):
+            ExactMatrix.from_rows([[1, 0]])
+
+
 class TestIrrep:
     def test_w1_matrices(self):
         a = cr(Fraction(2, 7))
         m = irrep_Wm(1, a)
-        assert m.h0.rows == ((cr(-1), cr(0)), (cr(0), cr(1)))
+        assert m.h0 == ExactMatrix.from_rows([[-1, 0], [0, 1]])
         # x0- sends w1 to w0
         assert m.xm.apply(unit(2, 1)) == unit(2, 0)
         assert m.top_index == 1 and m.basis_labels == ("w0", "w1")
@@ -145,7 +241,7 @@ class TestRelations:
 
     def test_corrupted_module_fails(self):
         m = irrep_Wm(1, cr(0))
-        rows = [list(r) for r in m.hbar1.rows]
+        rows = [[m.hbar1.entry(i, j) for j in range(2)] for i in range(2)]
         rows[0][0] = rows[0][0] + cr(1)
         bad = type(m)(
             xp=m.xp,

@@ -8,7 +8,6 @@ from weylcyc import (
     LieType,
     MonicPoly,
     builtin_table,
-    dim_bound_report,
     dim_local_weyl,
     local_weyl_sl2,
     shift_tuple,
@@ -43,15 +42,14 @@ def test_empty_tuple_dimension_one():
 def test_a3_single_middle_node():
     lt = LieType("A", 3)
     t = DrinfeldTuple(lt, (MonicPoly.one(), poly(0), MonicPoly.one()))
-    report = dim_bound_report(t, builtin_table(lt))
-    assert report.weyl_dim == report.bound == 6
+    assert dim_local_weyl(t, builtin_table(lt)) == 6
 
 
 def test_bound_always_attained():
     lt = LieType("A", 2)
     t = DrinfeldTuple(lt, (poly(0, 1, 2), poly(Fraction(1, 2))))
-    report = dim_bound_report(t, builtin_table(lt))
-    assert report.weyl_dim == report.bound
+    # dim V(omega_1)^3 * dim V(omega_2) = 3^3 * 3
+    assert dim_local_weyl(t, builtin_table(lt)) == 81
 
 
 def test_missing_entry_raises():
