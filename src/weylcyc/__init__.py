@@ -50,6 +50,7 @@ from .sl2 import (
     local_weyl_sl2,
     mode_operators,
     tensor,
+    word_module,
 )
 from .weyl_dims import (
     FundamentalDimTable,

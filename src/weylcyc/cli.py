@@ -22,6 +22,12 @@ from .drinfeld import (
 )
 from .rootsys import LieType, cartan_data
 
+# A rank-1 module of k factors W_1(a) has dimension 2^k.  These caps keep one
+# call under about 10 s: `factorize` closes the module, `sl2-oracle` also
+# saturates its algebra in dimension 4^k (README, Notes).
+MAX_FACTORIZE_ROOTS = 9
+MAX_ORACLE_FACTORS = 5
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit with 1, reserving 2 for failed assertions
@@ -149,12 +155,21 @@ def _cmd_dual(args) -> int:
     return 0
 
 
+def _check_cap(command: str, size: int, cap: int, unit: str) -> None:
+    if size > cap:
+        raise ValueError(
+            f"{command} takes at most {cap} {unit} on A1 (a rank-1 module of"
+            f" dimension 2^{cap}), got {size}"
+        )
+
+
 def _cmd_factorize(args) -> int:
     t = tuple_from_dict(_load_json(args.tuple, "tuple"))
     word = criteria.weyl_factorize(t)
     report = {"tuple": tuple_to_dict(t), "word": word_to_dict(word)}
     lines = ["ordered factorization:", "  " + json.dumps(word_to_dict(word), sort_keys=True)]
     if t.type == LieType("A", 1):
+        _check_cap("factorize", len(word.factors), MAX_FACTORIZE_ROOTS, "roots")
         module = sl2.local_weyl_sl2([f.param for f in word.factors])
         rank, _ = sl2.hw_closure(module)
         report.update(
@@ -187,9 +202,8 @@ def _cmd_sl2_oracle(args) -> int:
     word = word_from_dict(_load_json(args.word, "word"))
     if word.type != LieType("A", 1):
         raise ValueError(f"sl2-oracle requires type A1 words, got {word.type}")
-    module = sl2.irrep_Wm(1, word.factors[0].param)
-    for f in word.factors[1:]:
-        module = sl2.tensor(module, sl2.irrep_Wm(1, f.param))
+    _check_cap("sl2-oracle", len(word.factors), MAX_ORACLE_FACTORS, "factors")
+    module = sl2.word_module((1, f.param) for f in word.factors)
     closure, _ = sl2.hw_closure(module)
     algebra = sl2.burnside_dim(module)
     full_closure = closure == module.dim
@@ -282,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError, RuntimeError) as exc:
         print(f"weylcyc: error: {exc}", file=sys.stderr)
         return 1
 

@@ -70,7 +70,8 @@ def check_type_a_symmetries() -> tuple[str, bool, str]:
     return "type A symmetries", True, f"ranks <= {MAX_RANK}"
 
 
-def _a1_word(params) -> TensorWord:
+def a1_word(params) -> TensorWord:
+    """The type A1 word of fundamental factors at the given parameters."""
     return TensorWord(
         LieType("A", 1),
         tuple(FundamentalFactor(1, CRational(a)) for a in params),
@@ -83,8 +84,8 @@ def rank1_cyclicity_grid(max_len: int = 3) -> tuple[int, str | None]:
     checked = 0
     for length in range(1, max_len + 1):
         for params in _grid_words(length):
-            if criteria.is_cyclic(_a1_word(params)).cyclic_guaranteed:
-                module = _word_module(params)
+            if criteria.is_cyclic(a1_word(params)).cyclic_guaranteed:
+                module = sl2.word_module((1, a) for a in params)
                 rank, _ = sl2.hw_closure(module)
                 checked += 1
                 if rank != module.dim:
@@ -104,8 +105,8 @@ def check_rank1_irreducibility_grid() -> tuple[str, bool, str]:
     """A full Burnside algebra must come with IrreducibleGuaranteed and a
     smaller one with ReducibleProven (type A), on every length-2 grid word."""
     for params in _grid_words(2):
-        verdict = criteria.is_irreducible(_a1_word(params)).status
-        full = sl2.burnside_dim(_word_module(params)) == 16
+        verdict = criteria.is_irreducible(a1_word(params)).status
+        full = sl2.burnside_dim(sl2.word_module((1, a) for a in params)) == 16
         expected = (IrreducibilityStatus.IRREDUCIBLE_GUARANTEED if full
                     else IrreducibilityStatus.REDUCIBLE_PROVEN)
         if verdict is not expected:
@@ -119,13 +120,6 @@ def check_rank1_irreducibility_grid() -> tuple[str, bool, str]:
 
 def _grid_words(length: int):
     return itertools.product(GRID, repeat=length)
-
-
-def _word_module(params) -> sl2.Sl2Module:
-    module = sl2.irrep_Wm(1, CRational(params[0]))
-    for a in params[1:]:
-        module = sl2.tensor(module, sl2.irrep_Wm(1, CRational(a)))
-    return module
 
 
 def random_tuple(rng: random.Random, lt: LieType, max_total_degree: int = 8) -> DrinfeldTuple:

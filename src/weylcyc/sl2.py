@@ -8,19 +8,23 @@ set, so tensor products are exact.
 
 Two linear-algebra oracles decide structure by one fixpoint saturation with
 row reduction: `hw_closure` computes the submodule generated by the top
-vector, exactly, and `burnside_dim` computes the dimension of the generated
-matrix algebra (full iff the module is irreducible over the complex field),
-certified modulo a prime when it is full and exactly otherwise.
+vector, and `burnside_dim` computes the dimension of the generated matrix
+algebra (full iff the module is irreducible over the complex field),
+certified modulo a prime when it is full.  Exact saturation clears the
+denominators of each generator and runs fraction-free elimination on
+Gaussian integers held as pairs of Python ints, so no rational arithmetic
+is done in it; the echelon forms and the saturation loop are in `echelon`.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .drinfeld import ONE, ZERO, CRational
+from .echelon import GaussianInt, ModP, NotReducible, saturate
 
 
 Row = tuple[tuple[int, CRational], ...]
@@ -312,178 +316,24 @@ def check_relations(module: Sl2Module, cutoff: int) -> list[str]:
     return bad
 
 
-class _Exact:
-    """Field arithmetic on CRational entries as they are."""
-
-    zero, one = ZERO, ONE
-
-    @staticmethod
-    def lift(x: CRational) -> CRational:
-        return x
-
-    @staticmethod
-    def norm(x):
-        return x
-
-    @staticmethod
-    def norm_vec(v: list) -> list:
-        return v
-
-    @staticmethod
-    def inv(x: CRational) -> CRational:
-        return ONE / x
-
-
-class _NotReducible(ArithmeticError):
-    """A Gaussian rational whose denominator the prime divides."""
-
-
-class _ModP:
-    """Field arithmetic in F_p on plain ints, p = 1 000 000 009.
-
-    p is prime and p = 1 (mod 4), so -1 has the square root I_MOD_P in F_p and
-    a Gaussian rational a + b i with denominators prime to p reduces to
-    a + b * I_MOD_P.  Elimination leaves ints unreduced between pivots; norm
-    and norm_vec bring them back into [0, p).
-    """
-
-    P = 1_000_000_009
-    I_MOD_P = 430_477_711
-    zero, one = 0, 1
-
-    @classmethod
-    def lift(cls, x: CRational) -> int:
-        p = cls.P
-        out = 0
-        for part, unit in ((x.re, 1), (x.im, cls.I_MOD_P)):
-            if part:
-                if part.denominator % p == 0:
-                    raise _NotReducible(f"{p} divides the denominator of {x}")
-                out += part.numerator * pow(part.denominator, -1, p) * unit
-        return out % p
-
-    @classmethod
-    def norm(cls, x: int) -> int:
-        return x % cls.P
-
-    @classmethod
-    def norm_vec(cls, v: list[int]) -> list[int]:
-        p = cls.P
-        return [x % p for x in v]
-
-    @classmethod
-    def inv(cls, x: int) -> int:
-        return pow(x, -1, cls.P)
-
-
-class _Echelon:
-    """Row-reduced spanning set over a field (`_Exact` by default, or `_ModP`).
-
-    Rows are kept sorted by pivot with pivot entries normalized to 1, each as
-    its nonzero (column, entry) pairs; insert returns the reduced residual
-    (and extends the span) or None if the vector was already in the span.
-    """
-
-    def __init__(self, length: int, field=_Exact):
-        self.length = length
-        self.field = field
-        self.rows: list[tuple[int, list[tuple[int, object]]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: Sequence):
-        norm = self.field.norm
-        v = list(vec)
-        for pivot, items in self.rows:
-            c = v[pivot]
-            if c:
-                c = norm(c)
-                if c:
-                    for j, x in items:
-                        v[j] = v[j] - c * x
-        v = self.field.norm_vec(v)
-        for lead, x in enumerate(v):
-            if x:
-                break
-        else:
-            return None
-        inv = self.field.inv(x)
-        v = self.field.norm_vec([inv * y if y else y for y in v])
-        insort(self.rows, (lead, [(j, x) for j, x in enumerate(v) if x]), key=lambda r: r[0])
-        return v
-
-    def vectors(self) -> list[list]:
-        out = []
-        for _, items in self.rows:
-            v = [self.field.zero] * self.length
-            for j, x in items:
-                v[j] = x
-            out.append(v)
-        return out
-
-
-def _lifted_entries(mat: ExactMatrix, field) -> list[tuple[int, int, object]]:
-    """The nonzero entries of mat as (row, column, value) over the field."""
-    lifted = ((i, j, field.lift(x)) for i, row in enumerate(mat.rows) for j, x in row)
-    return [entry for entry in lifted if entry[2]]
-
-
-def _sparse_apply(entries, vec, zero) -> list:
-    out = [zero] * len(vec)
-    for i, j, x in entries:
-        vj = vec[j]
-        if vj:
-            out[i] = out[i] + x * vj
-    return out
-
-
-def _saturate(ops, seeds, field) -> _Echelon:
-    """Span of the seeds closed under the sparse linear operators ops.
-
-    Only residuals found in the previous round are pushed through the
-    operators again; the loop ends when a round finds nothing new or the span
-    fills the space.
-    """
-    length = len(seeds[0])
-    basis = _Echelon(length, field)
-    frontier = [r for r in map(basis.insert, seeds) if r is not None]
-    rounds = 0
-    while frontier and basis.rank < length:
-        rounds += 1
-        if rounds > length + 1:
-            raise RuntimeError("saturation failed to stabilize; arithmetic bug")
-        new = []
-        for v in frontier:
-            for op in ops:
-                residual = basis.insert(_sparse_apply(op, v, field.zero))
-                if residual is not None:
-                    new.append(residual)
-            if basis.rank == length:
-                break
-        frontier = new
-    return basis
-
-
 def _generators(module: Sl2Module) -> tuple[ExactMatrix, ...]:
     return (module.xp, module.xm, module.h0, module.hbar1)
 
 
 def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """Smallest subspace containing the top vector and invariant under the
-    four generators, by iterated application and exact row reduction to a
-    fixpoint.
+    four generators, by iterated application and fraction-free row reduction
+    over the Gaussian integers to a fixpoint.
 
-    The module is generated by its top vector iff the returned dimension
-    equals the module dimension; the four generators suffice because every
-    higher mode is an iterated hbar1-bracket of them.
+    Returns the dimension and the echelon basis, each vector with lead entry
+    1.  The module is generated by its top vector iff the dimension equals
+    the module dimension; the four generators suffice because every higher
+    mode is an iterated hbar1-bracket of them.
     """
-    start = [ZERO] * module.dim
-    start[module.top_index] = ONE
-    ops = [_lifted_entries(g, _Exact) for g in _generators(module)]
-    basis = _saturate(ops, [start], _Exact)
-    return basis.rank, basis.vectors()
+    n = module.dim
+    ops = [GaussianInt.operator(g) for g in _generators(module)]
+    basis = saturate(GaussianInt, n, ops, [GaussianInt.unit(n, [module.top_index])])
+    return basis.rank, basis.normalized_rows()
 
 
 def _algebra_rank(module: Sl2Module, field) -> int:
@@ -491,18 +341,19 @@ def _algebra_rank(module: Sl2Module, field) -> int:
 
     The algebra is saturated as flattened n x n matrices (row i of a matrix
     at i*n .. i*n+n-1) under left multiplication by each generator, starting
-    from the identity.  Raises _NotReducible if a generator entry does not
+    from the identity.  Raises NotReducible if a generator entry does not
     reduce into the field.
     """
     n = module.dim
     ops = [
-        [(i * n + j, k * n + j, x) for i, k, x in _lifted_entries(g, field) for j in range(n)]
+        tuple(
+            [(i * n + j, k * n + j, x) for i, k, x in part for j in range(n)]
+            for part in field.operator(g)
+        )
         for g in _generators(module)
     ]
-    identity = [field.zero] * (n * n)
-    for i in range(n):
-        identity[i * n + i] = field.one
-    return _saturate(ops, [identity], field).rank
+    identity = field.unit(n * n, [i * n + i for i in range(n)])
+    return saturate(field, n * n, ops, [identity]).rank
 
 
 def burnside_dim(module: Sl2Module) -> int:
@@ -513,7 +364,7 @@ def burnside_dim(module: Sl2Module) -> int:
     and density of the image algebra characterizes irreducibility over an
     algebraically closed field.
 
-    The saturation runs first over F_p (`_ModP`), and a full span there is
+    The saturation runs first over F_p (`ModP`), and a full span there is
     returned at once.  That is sound: when p divides no denominator, every
     generator entry lies in the ring Z_(p)[i] of Gaussian rationals with
     denominators prime to p, and reduction a + b i -> a + b r (r^2 = -1 in
@@ -527,15 +378,16 @@ def burnside_dim(module: Sl2Module) -> int:
     only drop under reduction, so a full span mod p proves a full span over
     Q(i).  A smaller rank mod p proves nothing (p may divide every such
     minor), and a denominator divisible by p leaves no reduction at all; both
-    fall back to the exact saturation, whose value is returned.
+    fall back to the exact saturation, a fraction-free elimination over the
+    Gaussian integers (`GaussianInt`), whose value is returned.
     """
     full = module.dim * module.dim
     try:
-        if _algebra_rank(module, _ModP) == full:
+        if _algebra_rank(module, ModP) == full:
             return full
-    except _NotReducible:
+    except NotReducible:
         pass
-    return _algebra_rank(module, _Exact)
+    return _algebra_rank(module, GaussianInt)
 
 
 def apply_shift(module: Sl2Module, c) -> Sl2Module:
@@ -555,6 +407,15 @@ def apply_shift(module: Sl2Module, c) -> Sl2Module:
     )
 
 
+def word_module(factors: Iterable[tuple[int, object]]) -> Sl2Module:
+    """The ordered tensor product W_{m_1}(a_1) x ... x W_{m_k}(a_k) of the
+    given (m, a) pairs, tensored left to right."""
+    modules = [irrep_Wm(m, a) for m, a in factors]
+    if not modules:
+        raise ValueError("a tensor word needs at least one factor")
+    return reduce(tensor, modules)
+
+
 def local_weyl_sl2(roots: Iterable) -> Sl2Module:
     """Rank-1 local Weyl module for the given root multiset.
 
@@ -566,7 +427,4 @@ def local_weyl_sl2(roots: Iterable) -> Sl2Module:
     if not parsed:
         raise ValueError("root multiset must be nonempty")
     parsed.sort(key=lambda a: (-a.re, -a.im))
-    out = irrep_Wm(1, parsed[0])
-    for a in parsed[1:]:
-        out = tensor(out, irrep_Wm(1, a))
-    return out
+    return word_module((1, a) for a in parsed)

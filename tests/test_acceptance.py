@@ -33,6 +33,7 @@ from weylcyc import (
     weyl_factorize,
 )
 from weylcyc.selftest import (
+    a1_word,
     check_rank1_irreducibility_grid,
     rank1_cyclicity_grid,
     random_tuple,
@@ -61,12 +62,6 @@ def criterion(num, desc, budget=None):
     print(f"PASS criterion {num:2d}: {desc} [{elapsed:.2f}s]")
     if budget is not None:
         assert elapsed < budget, f"runtime {elapsed:.2f}s over budget {budget}s"
-
-
-def a1_word(params):
-    return TensorWord(
-        LieType("A", 1), tuple(FundamentalFactor(1, CRational(a)) for a in params)
-    )
 
 
 def test_criterion_01_basis_action():
@@ -259,3 +254,10 @@ def test_criterion_13_factorization_always_cyclic():
                 t = random_tuple(rng, lt, max_total_degree=8)
                 report = is_cyclic(weyl_factorize(t))
                 assert report.cyclic_guaranteed, (lt, t)
+
+
+def test_criterion_14_local_weyl_string_of_eight():
+    with criterion(14, "local Weyl module of the string 0..7 has full closure 256", 10):
+        module = local_weyl_sl2([cr(k) for k in range(8)])
+        assert module.dim == 256
+        assert hw_closure(module)[0] == 256

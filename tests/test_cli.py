@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from weylcyc.cli import main
+from weylcyc import sl2
+from weylcyc.cli import MAX_FACTORIZE_ROOTS, MAX_ORACLE_FACTORS, main
 
 WORD_01 = '{"type":"A1","factors":[{"node":1,"a":"0"},{"node":1,"a":"1"}]}'
 WORD_10 = '{"type":"A1","factors":[{"node":1,"a":"1"},{"node":1,"a":"0"}]}'
@@ -189,6 +190,36 @@ def test_sl2_oracle_agreement(capsys):
     assert report["burnside_dim"] < 16
     assert report["criterion"] == "ReducibleProven"
     assert report["agree"] is True
+
+
+def test_factorize_over_the_cap_exit_one(capsys):
+    roots = [str(k) for k in range(MAX_FACTORIZE_ROOTS + 1)]
+    tup = json.dumps({"type": "A1", "polys": [roots]})
+    code, out, err = run(capsys, "factorize", "--tuple", tup)
+    assert code == 1 and out == ""
+    assert f"at most {MAX_FACTORIZE_ROOTS} roots" in err and f"got {len(roots)}" in err
+    # the cap is on the rank-1 closure only; other types still factorize
+    tup = json.dumps({"type": "A2", "polys": [roots, []]})
+    assert run(capsys, "factorize", "--tuple", tup)[0] == 0
+
+
+def test_sl2_oracle_over_the_cap_exit_one(capsys):
+    factors = [{"node": 1, "a": str(k)} for k in range(MAX_ORACLE_FACTORS + 1)]
+    word = json.dumps({"type": "A1", "factors": factors})
+    code, out, err = run(capsys, "sl2-oracle", "--word", word)
+    assert code == 1 and out == ""
+    assert f"at most {MAX_ORACLE_FACTORS} factors" in err and f"got {len(factors)}" in err
+
+
+def test_library_runtime_error_exit_one(capsys, monkeypatch):
+    def fail(module):
+        raise RuntimeError("saturation failed to stabilize; arithmetic bug")
+
+    monkeypatch.setattr(sl2, "hw_closure", fail)
+    code, out, err = run(capsys, "sl2-oracle", "--word", WORD_01)
+    assert code == 1 and out == ""
+    assert err == "weylcyc: error: saturation failed to stabilize; arithmetic bug\n"
+    assert "Traceback" not in err
 
 
 def test_sl2_oracle_rejects_higher_rank(capsys):

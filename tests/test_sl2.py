@@ -1,8 +1,10 @@
 import random
+from bisect import insort
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylcyc import (
@@ -16,9 +18,11 @@ from weylcyc import (
     local_weyl_sl2,
     mode_operators,
     tensor,
+    word_module,
 )
 from weylcyc import sl2
-from weylcyc.sl2 import _Echelon, _Exact, _ModP, _NotReducible, _algebra_rank, commutator, kron
+from weylcyc.echelon import GaussianInt, ModP, NotReducible
+from weylcyc.sl2 import _algebra_rank, commutator, kron
 
 
 def cr(re, im=0):
@@ -94,6 +98,92 @@ def dense_kron(a, b):
 
 def dense_apply(a, v):
     return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
+
+
+# Reference: elimination over Q(i) on CRational entries with pivots normalized
+# to 1, the exact path the saturation ran before the fraction-free
+# Gaussian-integer echelon, kept as the oracle for it.
+
+
+class ReferenceEchelon:
+    """Row-reduced spanning set over Q(i): rows sorted by pivot with pivot
+    entries 1, each as its nonzero (column, entry) pairs.  insert returns the
+    reduced residual (and extends the span) or None."""
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []
+
+    def insert(self, vec):
+        v = list(vec)
+        for pivot, items in self.rows:
+            c = v[pivot]
+            if c:
+                for j, x in items:
+                    v[j] = v[j] - c * x
+        for lead, x in enumerate(v):
+            if x:
+                break
+        else:
+            return None
+        inv = CRational(1) / x
+        v = [inv * y if y else y for y in v]
+        insort(self.rows, (lead, [(j, x) for j, x in enumerate(v) if x]), key=lambda r: r[0])
+        return v
+
+    def vectors(self):
+        out = []
+        for _, items in self.rows:
+            v = [ZERO] * self.length
+            for j, x in items:
+                v[j] = x
+            out.append(v)
+        return out
+
+
+def reference_saturate(ops, seeds):
+    """Span of the seeds closed under the sparse (row, column, entry) ops."""
+    basis = ReferenceEchelon(len(seeds[0]))
+    frontier = [r for r in map(basis.insert, seeds) if r is not None]
+    while frontier and len(basis.rows) < basis.length:
+        new = []
+        for v in frontier:
+            for op in ops:
+                out = [ZERO] * len(v)
+                for i, j, x in op:
+                    if v[j]:
+                        out[i] = out[i] + x * v[j]
+                residual = basis.insert(out)
+                if residual is not None:
+                    new.append(residual)
+            if len(basis.rows) == basis.length:
+                break
+        frontier = new
+    return basis
+
+
+def reference_generators(module):
+    return [
+        [(i, j, x) for i, row in enumerate(g.rows) for j, x in row]
+        for g in (module.xp, module.xm, module.h0, module.hbar1)
+    ]
+
+
+def reference_hw_closure(module):
+    basis = reference_saturate(reference_generators(module), [unit(module.dim, module.top_index)])
+    return len(basis.rows), basis.vectors()
+
+
+def reference_algebra_rank(module):
+    n = module.dim
+    ops = [
+        [(i * n + j, k * n + j, x) for i, k, x in g for j in range(n)]
+        for g in reference_generators(module)
+    ]
+    identity = [ZERO] * (n * n)
+    for i in range(n):
+        identity[i * n + i] = CRational(1)
+    return len(reference_saturate(ops, [identity]).rows)
 
 
 # Gaussian rationals, zero about half the time, small enough that sums cancel.
@@ -293,7 +383,7 @@ class TestClosure:
         rank, basis = hw_closure(module)
         assert rank == 3
         missing = [cr(0), cr(1), cr(-1), cr(0)]
-        eb = _Echelon(4)
+        eb = ReferenceEchelon(4)
         for v in basis:
             eb.insert(v)
         assert eb.insert(missing) is not None
@@ -321,7 +411,7 @@ class TestBurnside:
         # proper value computed once by the saturation oracle, frozen since;
         # the mod-p rank is short of 16, so the value comes from the exact path
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))
-        assert _algebra_rank(module, _ModP) < 16
+        assert _algebra_rank(module, ModP) < 16
         assert burnside_dim(module) == 13
 
     @pytest.mark.parametrize(
@@ -335,31 +425,24 @@ class TestBurnside:
     def test_rank_deficient_falls_back_to_exact(self, factors, expected):
         # proper values computed once by the exact saturation oracle, frozen since
         module = word_module([(m, cr(a)) for m, a in factors])
-        assert _algebra_rank(module, _ModP) < module.dim**2
+        assert _algebra_rank(module, ModP) < module.dim**2
         assert burnside_dim(module) == expected
-
-
-def word_module(factors):
-    module = irrep_Wm(*factors[0])
-    for m, a in factors[1:]:
-        module = tensor(module, irrep_Wm(m, a))
-    return module
 
 
 class TestModularCertificate:
     def test_prime_and_square_root_of_minus_one(self):
-        p = _ModP.P
+        p = ModP.P
         assert p % 4 == 1
         assert all(p % d for d in range(2, int(p**0.5) + 1))
-        assert _ModP.I_MOD_P**2 % p == p - 1
+        assert ModP.I_MOD_P**2 % p == p - 1
 
     def test_lift_is_a_ring_map_on_samples(self):
         rng = random.Random(5)
         for _ in range(50):
             x = cr(random_rational(rng), random_rational(rng))
             y = cr(random_rational(rng), random_rational(rng))
-            assert _ModP.lift(x * y) == _ModP.lift(x) * _ModP.lift(y) % _ModP.P
-            assert _ModP.lift(x - y) == (_ModP.lift(x) - _ModP.lift(y)) % _ModP.P
+            assert ModP.lift(x * y) == ModP.lift(x) * ModP.lift(y) % ModP.P
+            assert ModP.lift(x - y) == (ModP.lift(x) - ModP.lift(y)) % ModP.P
 
     def test_full_span_is_certified_mod_p(self, monkeypatch):
         fields = []
@@ -370,22 +453,22 @@ class TestModularCertificate:
 
         monkeypatch.setattr(sl2, "_algebra_rank", spy)
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
-        assert fields == [_ModP]
+        assert fields == [ModP]
 
     def test_rank_lost_mod_p_is_not_trusted(self):
         # a gap of 1 + p reduces to the reducible gap 1 mod p, but the exact
         # algebra is full: only gaps of +-1 make a W1 pair reducible
-        module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1 + _ModP.P)))
-        assert _algebra_rank(module, _ModP) == 13
+        module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1 + ModP.P)))
+        assert _algebra_rank(module, ModP) == 13
         assert burnside_dim(module) == 16
 
     def test_denominator_divisible_by_p_takes_exact_path(self):
-        eps = Fraction(1, _ModP.P)
+        eps = Fraction(1, ModP.P)
         for gap, expected in ((3, 16), (1, 13)):
             module = tensor(irrep_Wm(1, cr(eps)), irrep_Wm(1, cr(eps + gap)))
-            with pytest.raises(_NotReducible):
-                _algebra_rank(module, _ModP)
-            assert burnside_dim(module) == _algebra_rank(module, _Exact) == expected
+            with pytest.raises(NotReducible):
+                _algebra_rank(module, ModP)
+            assert burnside_dim(module) == reference_algebra_rank(module) == expected
 
     @given(
         factors=st.lists(
@@ -408,7 +491,80 @@ class TestModularCertificate:
         assume(dim <= 8)
         module = word_module([(m, cr(a, im)) for m, a in factors])
         for image in (module, apply_shift(module, cr(*shift))):
-            assert burnside_dim(image) == _algebra_rank(image, _Exact)
+            assert burnside_dim(image) == reference_algebra_rank(image)
+
+
+# Denominators include large primes (the certificate's prime among them), so
+# the lifted generators carry large scales.
+big_denominator_fractions = st.builds(
+    Fraction,
+    st.integers(-6, 6),
+    st.sampled_from([1, 2, 3, 1_000_003, ModP.P, 2**61 - 1]),
+)
+gaussian_parameters = st.builds(CRational, big_denominator_fractions, big_denominator_fractions)
+
+
+class TestFractionFreeAgainstReference:
+    def test_lift_clears_denominators_and_keeps_direction(self):
+        mat = ExactMatrix.from_rows([[cr(Fraction(1, 6), 2), 0], [cr(0, Fraction(-3, 4)), cr(5)]])
+        re_op, im_op = GaussianInt.operator(mat)
+        assert re_op == [(0, 0, 2), (1, 1, 60)]
+        assert im_op == [(0, 0, 24), (1, 0, -9)]
+
+    def test_rows_are_primitive_with_positive_real_lead(self):
+        basis = GaussianInt(3)
+        # (2+2i, 4, 6i) times 2-2i, the conjugate of its lead, over the gcd 4
+        assert basis.insert(([2, 4, 0], [2, 0, 6])) == ([2, 2, 3], [0, -2, 3])
+        # (1+i) times the first vector
+        assert basis.insert(([0, 4, -6], [4, 4, 6])) is None
+        assert basis.insert(([0, 0, 7], [0, 0, 0])) == ([0, 0, 1], [0, 0, 0])
+        assert basis.insert(([0, -4, 0], [0, 0, 0])) == ([0, 1, 0], [0, 0, 0])
+        assert [row[:2] for row in basis.rows] == [(0, 2), (1, 1), (2, 1)]
+        # the lead 2 does not divide 1, so the vector is doubled before reducing
+        assert basis.insert(([1, 0, 0], [0, 0, 0])) is None
+        assert basis.rank == 3
+
+    @given(
+        factors=st.lists(
+            st.tuples(
+                st.integers(1, 3),
+                st.integers(-2, 2),
+                st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), big_denominator_fractions),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        base=gaussian_parameters,
+        shift=gaussian_parameters,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_closure_and_algebra_rank_match_reference(self, factors, base, shift):
+        # parameter base + k + i t: small integer gaps k make about a tenth of
+        # the words reducible; a shared imaginary part only shifts hbar1 by a
+        # multiple of h0 and leaves every residual real, so the twists t give
+        # the elimination complex vectors
+        assume(prod(m + 1 for m, _, _ in factors) <= 8)
+        module = word_module([(m, base + k + cr(0, t)) for m, k, t in factors])
+        for image in (module, apply_shift(module, shift)):
+            assert hw_closure(image) == reference_hw_closure(image)
+            assert _algebra_rank(image, GaussianInt) == reference_algebra_rank(image)
+
+    @given(
+        offsets=st.lists(
+            st.tuples(st.integers(-2, 2), st.sampled_from([Fraction(0), Fraction(0), Fraction(4, 7)])),
+            min_size=4,
+            max_size=4,
+        ),
+        base=gaussian_parameters,
+    )
+    @example(offsets=[(-2, 0), (1, 0), (-1, Fraction(4, 7)), (-1, 0)], base=cr(0))
+    @settings(max_examples=50, deadline=None)
+    def test_closure_with_complex_residuals_matches_reference(self, offsets, base):
+        # dim 16: a twisted factor next to an integer gap gives proper
+        # closures in which pushing only the real part of a residual through
+        # the generators would change the span, as in the example (closure 12)
+        module = word_module([(1, base + k + cr(0, t)) for k, t in offsets])
+        assert hw_closure(module) == reference_hw_closure(module)
 
 
 class TestShift:
