@@ -23,10 +23,14 @@ from .drinfeld import (
 from .rootsys import LieType, cartan_data
 
 # A rank-1 module of k factors W_1(a) has dimension 2^k.  These caps keep one
-# call under about 10 s: `factorize` closes the module, `sl2-oracle` also
-# saturates its algebra in dimension 4^k (README, Notes).
+# call under about 10 s: `factorize` closes the module; `sl2-oracle` closes
+# the module and its dual, and on a reducible word also saturates the algebra
+# in dimension 4^k, so reducible words set its cap (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
+# The Cartan data of rank l costs about l^3.6; at rank 64 the slowest command
+# (B, C and D types) took under 5 s, at rank 80 up to 12 s (README, Notes).
+MAX_RANK = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +54,21 @@ def _load_json(text: str, what: str) -> dict:
         raise ValueError(f"malformed {what} JSON: {exc}") from None
 
 
+def _check_rank(lt: LieType) -> LieType:
+    if lt.rank > MAX_RANK:
+        raise ValueError(
+            f"weylcyc takes Lie types of rank at most {MAX_RANK}, got {lt} of rank {lt.rank}"
+        )
+    return lt
+
+
+def _load(text: str, what: str, decode):
+    """Decode the JSON argument text; its Lie type must be within the rank cap."""
+    obj = decode(_load_json(text, what))
+    _check_rank(obj.type)
+    return obj
+
+
 def _violations_json(violations) -> list[dict]:
     return [
         {"m": v.m, "n": v.n, "diff": str(v.diff), "set_member": str(v.member)}
@@ -58,7 +77,7 @@ def _violations_json(violations) -> list[dict]:
 
 
 def _cmd_sets(args) -> int:
-    lt = LieType.parse(args.type)
+    lt = _check_rank(LieType.parse(args.type))
     data = cartan_data(lt)
     if args.tset:
         tset = criteria.t_set_C(data, args.bm, args.bn)
@@ -98,7 +117,7 @@ def _render_root(scale, shift) -> str:
 
 
 def _cmd_check(args) -> int:
-    word = word_from_dict(_load_json(args.word, "word"))
+    word = _load(args.word, "word", word_from_dict)
     if args.irreducible:
         verdict = criteria.is_irreducible(word)
         report = {
@@ -137,7 +156,7 @@ _KAPPA_NOTE = (
 
 
 def _cmd_dual(args) -> int:
-    word = word_from_dict(_load_json(args.word, "word"))
+    word = _load(args.word, "word", word_from_dict)
     dual = criteria.left_dual(word)
     data = cartan_data(word.type)
     report = {
@@ -164,7 +183,7 @@ def _check_cap(command: str, size: int, cap: int, unit: str) -> None:
 
 
 def _cmd_factorize(args) -> int:
-    t = tuple_from_dict(_load_json(args.tuple, "tuple"))
+    t = _load(args.tuple, "tuple", tuple_from_dict)
     word = criteria.weyl_factorize(t)
     report = {"tuple": tuple_to_dict(t), "word": word_to_dict(word)}
     lines = ["ordered factorization:", "  " + json.dumps(word_to_dict(word), sort_keys=True)]
@@ -181,9 +200,9 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    t = tuple_from_dict(_load_json(args.tuple, "tuple"))
+    t = _load(args.tuple, "tuple", tuple_from_dict)
     if args.table is not None:
-        table = weyl_dims.table_from_dict(_load_json(args.table, "table"))
+        table = _load(args.table, "table", weyl_dims.table_from_dict)
     else:
         table = weyl_dims.builtin_table(t.type)
     dim = weyl_dims.dim_local_weyl(t, table)
@@ -199,7 +218,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_sl2_oracle(args) -> int:
-    word = word_from_dict(_load_json(args.word, "word"))
+    word = _load(args.word, "word", word_from_dict)
     if word.type != LieType("A", 1):
         raise ValueError(f"sl2-oracle requires type A1 words, got {word.type}")
     _check_cap("sl2-oracle", len(word.factors), MAX_ORACLE_FACTORS, "factors")

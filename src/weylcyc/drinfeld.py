@@ -315,6 +315,13 @@ def shift_word(w: TensorWord, c: CRational) -> TensorWord:
 # ---------------------------------------------------------------------------
 
 
+def type_from_json(value) -> LieType:
+    """The 'type' field of a wire object, a string such as "C4"."""
+    if not isinstance(value, str):
+        raise ValueError(f"'type' must be a string such as \"C4\", got {value!r}")
+    return LieType.parse(value)
+
+
 def word_to_dict(w: TensorWord) -> dict:
     return {
         "type": str(w.type),
@@ -325,7 +332,7 @@ def word_to_dict(w: TensorWord) -> dict:
 def word_from_dict(data: dict) -> TensorWord:
     if not isinstance(data, dict) or "type" not in data or "factors" not in data:
         raise ValueError("word JSON must have 'type' and 'factors' keys")
-    lt = LieType.parse(str(data["type"]))
+    lt = type_from_json(data["type"])
     factors = []
     if not isinstance(data["factors"], list):
         raise ValueError("'factors' must be a list")
@@ -353,7 +360,7 @@ def tuple_to_dict(t: DrinfeldTuple) -> dict:
 def tuple_from_dict(data: dict) -> DrinfeldTuple:
     if not isinstance(data, dict) or "type" not in data or "polys" not in data:
         raise ValueError("tuple JSON must have 'type' and 'polys' keys")
-    lt = LieType.parse(str(data["type"]))
+    lt = type_from_json(data["type"])
     polys = data["polys"]
     if not isinstance(polys, list) or len(polys) != lt.rank:
         raise ValueError(f"'polys' must be a list of {lt.rank} root lists")

@@ -1,11 +1,10 @@
 """Exact row echelon forms and the saturation loop of the rank-1 oracles.
 
-A field is an echelon-form class: `ModP` over F_p on plain ints, or
-`GaussianInt`, fraction-free over the Gaussian integers.  field(length) is
-an empty echelon form of vectors of that length, field.operator lifts an
-`sl2.ExactMatrix` into an op, field.apply applies an op to a vector, and
-field.unit builds a 0/1 seed vector; `saturate` closes the span of seeds
-under ops.
+A field is an echelon-form class, here `GaussianInt`, fraction-free over
+the Gaussian integers.  field(length) is an empty echelon form of vectors of
+that length, field.operator lifts an `sl2.ExactMatrix` into an op,
+field.apply applies an op to a vector, and field.unit builds a 0/1 seed
+vector; `saturate` closes the span of seeds under ops.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ from typing import Iterable
 from .drinfeld import ZERO, CRational
 
 
-class NotReducible(ArithmeticError):
-    """A Gaussian rational whose denominator the prime divides."""
-
-
 def _sparse_apply(entries, vec: list, out: list) -> list:
     """Add the product of the sparse (row, column, entry) operator and vec
     into out."""
@@ -30,83 +25,6 @@ def _sparse_apply(entries, vec: list, out: list) -> list:
         if y:
             out[i] += x * y
     return out
-
-
-def _unit(length: int, indices: Iterable[int]) -> list[int]:
-    v = [0] * length
-    for i in indices:
-        v[i] = 1
-    return v
-
-
-class ModP:
-    """Row echelon form over F_p on plain ints, p = 1 000 000 009.
-
-    p is prime and p = 1 (mod 4), so -1 has the square root I_MOD_P in F_p and
-    a Gaussian rational a + b i with denominators prime to p reduces to
-    a + b * I_MOD_P.  A vector is a list of ints.  Rows are kept sorted by
-    pivot with pivot entries normalized to 1, each as its nonzero (column,
-    entry) pairs; elimination leaves ints unreduced between pivots.
-    """
-
-    P = 1_000_000_009
-    I_MOD_P = 430_477_711
-
-    def __init__(self, length: int):
-        self.length = length
-        self.rows: list[tuple[int, list[tuple[int, int]]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def lift(cls, x: CRational) -> int:
-        p = cls.P
-        out = 0
-        for part, unit in ((x.re, 1), (x.im, cls.I_MOD_P)):
-            if part:
-                if part.denominator % p == 0:
-                    raise NotReducible(f"{p} divides the denominator of {x}")
-                out += part.numerator * pow(part.denominator, -1, p) * unit
-        return out % p
-
-    @classmethod
-    def operator(cls, mat) -> tuple[list[tuple[int, int, int]], ...]:
-        """The nonzero entries of mat mod p as (row, column, value), in a
-        one-part tuple."""
-        lifted = ((i, j, cls.lift(x)) for i, row in enumerate(mat.rows) for j, x in row)
-        return ([entry for entry in lifted if entry[2]],)
-
-    @staticmethod
-    def apply(op, vec: list[int]) -> list[int]:
-        (entries,) = op
-        return _sparse_apply(entries, vec, [0] * len(vec))
-
-    unit = staticmethod(_unit)
-
-    def insert(self, vec: list[int]):
-        """Reduce vec against the rows; return the normalized residual (and
-        extend the span) or None if vec was already in the span."""
-        p = self.P
-        v = list(vec)
-        for pivot, items in self.rows:
-            c = v[pivot]
-            if c:
-                c %= p
-                if c:
-                    for j, x in items:
-                        v[j] -= c * x
-        v = [x % p for x in v]
-        for lead, x in enumerate(v):
-            if x:
-                break
-        else:
-            return None
-        inv = pow(x, -1, p)
-        v = [inv * y % p if y else 0 for y in v]
-        insort(self.rows, (lead, [(j, x) for j, x in enumerate(v) if x]), key=lambda r: r[0])
-        return v
 
 
 class GaussianInt:
@@ -165,7 +83,10 @@ class GaussianInt:
 
     @staticmethod
     def unit(length: int, indices: Iterable[int]) -> tuple[list[int], list[int]]:
-        return _unit(length, indices), [0] * length
+        v = [0] * length
+        for i in indices:
+            v[i] = 1
+        return v, [0] * length
 
     def insert(self, vec: tuple[list[int], list[int]]):
         """Reduce vec against the rows; return the primitive residual (and

@@ -6,14 +6,17 @@ modes follow from the ladder x_{k+1}^± = ±(1/2)[hbar1, x_k^±] and
 h_k = [x_k^+, x0^-], and the coproduct is fully explicit on this generating
 set, so tensor products are exact.
 
-Two linear-algebra oracles decide structure by one fixpoint saturation with
-row reduction: `hw_closure` computes the submodule generated by the top
-vector, and `burnside_dim` computes the dimension of the generated matrix
-algebra (full iff the module is irreducible over the complex field),
-certified modulo a prime when it is full.  Exact saturation clears the
-denominators of each generator and runs fraction-free elimination on
-Gaussian integers held as pairs of Python ints, so no rational arithmetic
-is done in it; the echelon forms and the saturation loop are in `echelon`.
+Two linear-algebra oracles decide structure by fixpoint saturation with row
+reduction: `hw_closure` computes the submodule generated by the top vector,
+and `burnside_dim` computes the dimension of the generated matrix algebra
+(full iff the module is irreducible over the complex field).  `burnside_dim`
+first tries to prove irreducibility with two closures of dimension dim, of
+the top vector and of the top coordinate functional under the transposed
+generators, and saturates the algebra in dimension dim^2 only when that
+fails.  Saturation clears the denominators of each generator and runs
+fraction-free elimination on Gaussian integers held as pairs of Python ints,
+so no rational arithmetic is done in it; the echelon form and the saturation
+loop are in `echelon`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from .drinfeld import ONE, ZERO, CRational
-from .echelon import GaussianInt, ModP, NotReducible, saturate
+from .echelon import GaussianInt, saturate
 
 
 Row = tuple[tuple[int, CRational], ...]
@@ -341,8 +344,7 @@ def _algebra_rank(module: Sl2Module, field) -> int:
 
     The algebra is saturated as flattened n x n matrices (row i of a matrix
     at i*n .. i*n+n-1) under left multiplication by each generator, starting
-    from the identity.  Raises NotReducible if a generator entry does not
-    reduce into the field.
+    from the identity.
     """
     n = module.dim
     ops = [
@@ -356,37 +358,55 @@ def _algebra_rank(module: Sl2Module, field) -> int:
     return saturate(field, n * n, ops, [identity]).rank
 
 
+def _top_weight_is_simple(module: Sl2Module) -> bool:
+    """h0 is diagonal and no other basis vector has the top vector's weight."""
+    weights = []
+    for i, row in enumerate(module.h0.rows):
+        if len(row) > 1 or (row and row[0][0] != i):
+            return False
+        weights.append(row[0][1] if row else ZERO)
+    return weights.count(weights[module.top_index]) == 1
+
+
+def _cocyclic(module: Sl2Module) -> bool:
+    """The top vector generates the module, and the top coordinate functional
+    generates its dual under the transposed generators."""
+    n = module.dim
+    ops = [GaussianInt.operator(g) for g in _generators(module)]
+    seeds = [GaussianInt.unit(n, [module.top_index])]
+    if saturate(GaussianInt, n, ops, seeds).rank < n:
+        return False
+    transposed = [tuple([(j, i, x) for i, j, x in part] for part in op) for op in ops]
+    return saturate(GaussianInt, n, transposed, seeds).rank == n
+
+
 def burnside_dim(module: Sl2Module) -> int:
     """Dimension of the unital matrix algebra generated by the four operators.
 
     The module is irreducible over the complex field iff the result is dim^2:
     the rank of an exact-entry span does not change under field extension,
     and density of the image algebra characterizes irreducibility over an
-    algebraically closed field.
+    algebraically closed field (Burnside's theorem).
 
-    The saturation runs first over F_p (`ModP`), and a full span there is
-    returned at once.  That is sound: when p divides no denominator, every
-    generator entry lies in the ring Z_(p)[i] of Gaussian rationals with
-    denominators prime to p, and reduction a + b i -> a + b r (r^2 = -1 in
-    F_p) is a ring map from it onto F_p.  It maps each word in the
-    generators to the same word in the reduced generators, so the span the
-    saturation finds mod p is spanned by the images of the words.  If n^2
-    reduced words are independent, an n^2 x n^2 minor of their flattened
-    entries is nonzero mod p.  That minor is an integer polynomial in entries
-    of Z_(p)[i], so it reduces to the minor of the reduced words and is
-    nonzero over Q(i) as well: the n^2 words are independent there.  Rank can
-    only drop under reduction, so a full span mod p proves a full span over
-    Q(i).  A smaller rank mod p proves nothing (p may divide every such
-    minor), and a denominator divisible by p leaves no reduction at all; both
-    fall back to the exact saturation, a fraction-free elimination over the
-    Gaussian integers (`GaussianInt`), whose value is returned.
+    An irreducible module is recognized first by two closures of dimension
+    n = dim instead of one of dimension n^2.  The guard: h0 is diagonal and
+    the top vector's weight occurs once on its diagonal, so the top vector
+    spans its weight space.  Every submodule is h0-invariant, hence the sum
+    of its intersections with the weight spaces, so it either holds the top
+    vector or lies in the kernel of the top coordinate functional.  The test:
+    (a) the top vector generates the module (the closure of `hw_closure`),
+    and (b) the top functional generates the dual under the transposed
+    generators.  The annihilator of the closure in (b) is the largest
+    submodule inside that kernel, that is, the largest submodule missing the
+    top vector.  So (a) says no proper submodule holds the top vector and (b)
+    says no nonzero submodule misses it: together they say the module is
+    irreducible, and an irreducible module passes both.  Then the result is
+    dim^2.  When the guard or either closure fails, the algebra is saturated
+    exactly, by fraction-free elimination over the Gaussian integers
+    (`GaussianInt`), and its rank is returned.
     """
-    full = module.dim * module.dim
-    try:
-        if _algebra_rank(module, ModP) == full:
-            return full
-    except NotReducible:
-        pass
+    if _top_weight_is_simple(module) and _cocyclic(module):
+        return module.dim * module.dim
     return _algebra_rank(module, GaussianInt)
 
 

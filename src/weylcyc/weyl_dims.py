@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping
 
-from .drinfeld import DrinfeldTuple
+from .drinfeld import DrinfeldTuple, type_from_json
 from .rootsys import LieType
 
 
@@ -49,7 +49,7 @@ def table_from_dict(data: dict) -> FundamentalDimTable:
     """Parse {"type": "C3", "dims": {"1": 6, "2": 14, "3": 14}}."""
     if not isinstance(data, dict) or "type" not in data or "dims" not in data:
         raise ValueError("table JSON must have 'type' and 'dims' keys")
-    lt = LieType.parse(str(data["type"]))
+    lt = type_from_json(data["type"])
     if not isinstance(data["dims"], dict):
         raise ValueError("'dims' must map node strings to integers")
     dims = {}

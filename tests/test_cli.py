@@ -3,7 +3,7 @@ import json
 import pytest
 
 from weylcyc import sl2
-from weylcyc.cli import MAX_FACTORIZE_ROOTS, MAX_ORACLE_FACTORS, main
+from weylcyc.cli import MAX_FACTORIZE_ROOTS, MAX_ORACLE_FACTORS, MAX_RANK, main
 
 WORD_01 = '{"type":"A1","factors":[{"node":1,"a":"0"},{"node":1,"a":"1"}]}'
 WORD_10 = '{"type":"A1","factors":[{"node":1,"a":"1"},{"node":1,"a":"0"}]}'
@@ -209,6 +209,46 @@ def test_sl2_oracle_over_the_cap_exit_one(capsys):
     code, out, err = run(capsys, "sl2-oracle", "--word", word)
     assert code == 1 and out == ""
     assert f"at most {MAX_ORACLE_FACTORS} factors" in err and f"got {len(factors)}" in err
+
+
+def word_of_rank(family, rank):
+    factors = [{"node": 1, "a": "0"}, {"node": rank, "a": "1"}]
+    return json.dumps({"type": f"{family}{rank}", "factors": factors})
+
+
+def tuple_of_rank(family, rank):
+    return json.dumps({"type": f"{family}{rank}", "polys": [["0"]] + [[]] * (rank - 1)})
+
+
+OVER = MAX_RANK + 1
+TABLE_OVER = json.dumps({"type": f"C{OVER}", "dims": {}})
+
+
+@pytest.mark.parametrize(
+    "argv, rank",
+    [
+        # without the cap these two ran for minutes (the Cartan data of rank l
+        # costs about l^3.6)
+        (["sets", "--type", "A100000", "--bm", "1", "--bn", "2"], 100000),
+        (["check", "--word", word_of_rank("D", 1000)], 1000),
+        (["dual", "--word", word_of_rank("B", OVER)], OVER),
+        (["factorize", "--tuple", tuple_of_rank("A", OVER)], OVER),
+        (["dims", "--tuple", tuple_of_rank("A", OVER)], OVER),
+        (["dims", "--tuple", tuple_of_rank("C", 3), "--table", TABLE_OVER], OVER),
+        (["sl2-oracle", "--word", word_of_rank("A", OVER)], OVER),
+    ],
+    ids=["sets", "check", "dual", "factorize", "dims-tuple", "dims-table", "sl2-oracle"],
+)
+def test_rank_over_the_cap_exit_one(capsys, argv, rank):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"rank at most {MAX_RANK}" in err and f"of rank {rank}" in err
+
+
+def test_rank_cap_admits_max_rank(capsys):
+    tup = tuple_of_rank("A", MAX_RANK)
+    assert run(capsys, "dims", "--tuple", tup)[0] == 0
+    assert run(capsys, "factorize", "--tuple", tup)[0] == 0
 
 
 def test_library_runtime_error_exit_one(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -24,6 +25,7 @@ from weylcyc.drinfeld import (
     word_from_dict,
     word_to_dict,
 )
+from weylcyc.weyl_dims import FundamentalDimTable, table_from_dict
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -235,3 +237,131 @@ class TestJson:
         for bad in [{}, {"type": "A2", "polys": [["1"]]}, {"type": "A1", "polys": "x"}]:
             with pytest.raises(ValueError):
                 tuple_from_dict(bad)
+
+
+# Wire-format properties.  The table codec has no encoder in the library, so
+# table_to_dict below writes the documented format.
+
+MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+lie_types = st.sampled_from(sorted(MIN_RANK)).flatmap(
+    lambda f: st.integers(MIN_RANK[f], 10).map(lambda l: LieType(f, l))
+)
+wide_rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+params = st.builds(CRational, wide_rationals, st.one_of(st.just(Fraction(0)), wide_rationals))
+
+
+@st.composite
+def words(draw):
+    lt = draw(lie_types)
+    factor = st.builds(FundamentalFactor, st.integers(1, lt.rank), params)
+    return TensorWord(lt, tuple(draw(st.lists(factor, min_size=1, max_size=6))))
+
+
+@st.composite
+def drinfeld_tuples(draw):
+    lt = draw(lie_types)
+    poly = st.lists(params, max_size=3).map(lambda roots: MonicPoly(tuple(roots)))
+    return DrinfeldTuple(lt, tuple(draw(poly) for _ in range(lt.rank)))
+
+
+@st.composite
+def tables(draw):
+    lt = draw(lie_types)
+    dims = draw(st.dictionaries(st.integers(1, lt.rank), st.integers(1, 10**6)))
+    return FundamentalDimTable(lt, dims, "user")
+
+
+def table_to_dict(table):
+    return {"type": str(table.type), "dims": {str(node): d for node, d in table.dims.items()}}
+
+
+def through_json(data):
+    return json.loads(json.dumps(data))
+
+
+# A part p/0 in each position a spectral parameter can take it.
+zero_denominators = st.sampled_from(["1/0", "-3/0", "0/0", "1+1/0i", "1/0-2i", "0-5/0i"])
+
+
+def non_canonical_key(node):
+    """Spellings that int() reads as node but that are not str(node)."""
+    text = str(node)
+    arabic_indic = "".join(chr(0x660 + int(d)) for d in text)
+    return st.sampled_from(
+        ["0" + text, "+" + text, " " + text, text + " ", text + ".0", arabic_indic]
+    )
+
+
+class TestCodecProperties:
+    @given(words())
+    @settings(max_examples=50, deadline=None)
+    def test_word_round_trip(self, word):
+        data = word_to_dict(word)
+        assert word_from_dict(through_json(data)) == word
+        assert word_to_dict(word_from_dict(data)) == data
+
+    @given(drinfeld_tuples())
+    @settings(max_examples=50, deadline=None)
+    def test_tuple_round_trip(self, tup):
+        data = tuple_to_dict(tup)
+        assert tuple_from_dict(through_json(data)) == tup
+        assert tuple_to_dict(tuple_from_dict(data)) == data
+
+    @given(tables())
+    @settings(max_examples=50, deadline=None)
+    def test_table_round_trip(self, table):
+        assert table_from_dict(through_json(table_to_dict(table))) == table
+
+    @given(words(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_word_rejects_booleans_and_zero_denominators(self, word, data):
+        i = data.draw(st.integers(0, len(word.factors) - 1))
+        for field, value, named in [
+            ("node", data.draw(st.booleans()), "'node'"),
+            ("a", data.draw(st.booleans()), "'a'"),
+            ("a", data.draw(zero_denominators), "'a': zero denominator"),
+        ]:
+            bad = word_to_dict(word)
+            bad["factors"][i][field] = value
+            with pytest.raises(ValueError, match=named):
+                word_from_dict(bad)
+        bad = word_to_dict(word)
+        bad["type"] = data.draw(st.booleans())
+        with pytest.raises(ValueError, match="'type'"):
+            word_from_dict(bad)
+
+    @given(drinfeld_tuples(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_tuple_rejects_booleans_and_zero_denominators(self, tup, data):
+        node = data.draw(st.integers(0, tup.type.rank - 1))
+        for value, named in [
+            (data.draw(st.booleans()), "'polys' root"),
+            (data.draw(zero_denominators), "'polys' root: zero denominator"),
+        ]:
+            bad = tuple_to_dict(tup)
+            bad["polys"][node].insert(data.draw(st.integers(0, len(bad["polys"][node]))), value)
+            with pytest.raises(ValueError, match=named):
+                tuple_from_dict(bad)
+        bad = tuple_to_dict(tup)
+        bad["type"] = data.draw(st.booleans())
+        with pytest.raises(ValueError, match="'type'"):
+            tuple_from_dict(bad)
+
+    @given(tables(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_table_rejects_booleans_and_non_canonical_keys(self, table, data):
+        node = data.draw(st.integers(1, table.type.rank))
+        bad = table_to_dict(table)
+        bad["dims"][str(node)] = data.draw(st.booleans())
+        with pytest.raises(ValueError, match=f"'dims' entry for node {node}"):
+            table_from_dict(bad)
+        key = data.draw(non_canonical_key(node))
+        bad = table_to_dict(table)
+        bad["dims"][key] = 1
+        with pytest.raises(ValueError) as exc:
+            table_from_dict(bad)
+        assert repr(key) in str(exc.value)
+        bad = table_to_dict(table)
+        bad["type"] = data.draw(st.booleans())
+        with pytest.raises(ValueError, match="'type'"):
+            table_from_dict(bad)

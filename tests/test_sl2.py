@@ -21,8 +21,8 @@ from weylcyc import (
     word_module,
 )
 from weylcyc import sl2
-from weylcyc.echelon import GaussianInt, ModP, NotReducible
-from weylcyc.sl2 import _algebra_rank, commutator, kron
+from weylcyc.echelon import GaussianInt, saturate
+from weylcyc.sl2 import Sl2Module, _algebra_rank, commutator, kron
 
 
 def cr(re, im=0):
@@ -184,6 +184,91 @@ def reference_algebra_rank(module):
     for i in range(n):
         identity[i * n + i] = CRational(1)
     return len(reference_saturate(ops, [identity]).rows)
+
+
+# Reference lower bound: the algebra rank over F_p.  For Gaussian rationals
+# whose denominators p does not divide, reduction a + b i -> a + b r
+# (r^2 = -1 mod p) is a ring map onto F_p, so it maps each word in the
+# generators to the same word in the reduced generators, and a set of words
+# independent mod p is independent over Q(i): the rank mod p is at most the
+# exact rank.  `_algebra_rank(module, ModP)` runs the saturation over F_p.
+
+
+class NotReducible(ArithmeticError):
+    """A Gaussian rational whose denominator the prime divides."""
+
+
+class ModP:
+    """Row echelon form over F_p on plain ints, p = 1 000 000 009.
+
+    p is prime and p = 1 (mod 4), so -1 has the square root I_MOD_P in F_p.  A
+    vector is a list of ints.  Rows are kept sorted by pivot with pivot
+    entries normalized to 1, each as its nonzero (column, entry) pairs.
+    """
+
+    P = 1_000_000_009
+    I_MOD_P = 430_477_711
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    @classmethod
+    def lift(cls, x):
+        p = cls.P
+        out = 0
+        for part, unit in ((x.re, 1), (x.im, cls.I_MOD_P)):
+            if part:
+                if part.denominator % p == 0:
+                    raise NotReducible(f"{p} divides the denominator of {x}")
+                out += part.numerator * pow(part.denominator, -1, p) * unit
+        return out % p
+
+    @classmethod
+    def operator(cls, mat):
+        """The nonzero entries of mat mod p as (row, column, value), in a
+        one-part tuple."""
+        lifted = ((i, j, cls.lift(x)) for i, row in enumerate(mat.rows) for j, x in row)
+        return ([entry for entry in lifted if entry[2]],)
+
+    @staticmethod
+    def apply(op, vec):
+        (entries,) = op
+        out = [0] * len(vec)
+        for i, j, x in entries:
+            if vec[j]:
+                out[i] += x * vec[j]
+        return out
+
+    @staticmethod
+    def unit(length, indices):
+        v = [0] * length
+        for i in indices:
+            v[i] = 1
+        return v
+
+    def insert(self, vec):
+        p = self.P
+        v = list(vec)
+        for pivot, items in self.rows:
+            c = v[pivot] % p
+            if c:
+                for j, x in items:
+                    v[j] -= c * x
+        v = [x % p for x in v]
+        for lead, x in enumerate(v):
+            if x:
+                break
+        else:
+            return None
+        inv = pow(x, -1, p)
+        v = [inv * y % p if y else 0 for y in v]
+        insort(self.rows, (lead, [(j, x) for j, x in enumerate(v) if x]), key=lambda r: r[0])
+        return v
 
 
 # Gaussian rationals, zero about half the time, small enough that sums cancel.
@@ -399,6 +484,61 @@ class TestClosure:
         assert hw_closure(shifted)[0] == hw_closure(module)[0]
 
 
+def direct_sum(m1, m2):
+    """Block-diagonal module, top vector of the first summand on top."""
+
+    def block(a, b):
+        return ExactMatrix(a.rows + tuple(tuple((j + a.n, x) for j, x in row) for row in b.rows))
+
+    return Sl2Module(
+        *(block(getattr(m1, g), getattr(m2, g)) for g in ("xp", "xm", "h0", "hbar1")),
+        basis_labels=tuple(f"x{s}" for s in range(m1.dim)) + tuple(f"y{s}" for s in range(m2.dim)),
+        top_index=m1.top_index,
+    )
+
+
+def rebased(module, p, p_inv, top_index):
+    """The module on the basis given by the columns of p."""
+    p, p_inv = ExactMatrix.from_rows(p), ExactMatrix.from_rows(p_inv)
+    assert p @ p_inv == ExactMatrix.identity(module.dim)
+    return Sl2Module(
+        *(p_inv @ getattr(module, g) @ p for g in ("xp", "xm", "h0", "hbar1")),
+        basis_labels=tuple(f"b{s}" for s in range(module.dim)),
+        top_index=top_index,
+    )
+
+
+h, q = Fraction(1, 2), Fraction(1, 4)
+# W_1(0) + W_1(3) on the basis x0, x1, y0, y1 (x1, y1 the tops) is reducible,
+# algebra 4 + 4 = 8.  On the first basis below, u = x1 + y1 is the top and
+# shares its weight with v = x1 - y1; on the second, y0 + v and y0 - v mix two
+# weights, so h0 is not diagonal although u is the only basis vector with the
+# diagonal entry 1.  On both, u generates the module (hbar1 tells x1 from y1)
+# and the u-coordinate (x1* + y1*)/2 generates the dual, so the two closures
+# are full: only the guard keeps these modules from the dim^2 shortcut.
+REPEATED_TOP_WEIGHT = (
+    [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, -1]],
+    [[1, 0, 0, 0], [0, h, 0, h], [0, 0, 1, 0], [0, h, 0, -h]],
+)
+NON_DIAGONAL_H0 = (
+    [[1, 0, 0, 0], [0, 1, 1, -1], [0, 0, 1, 1], [0, 1, -1, 1]],
+    [[1, 0, 0, 0], [0, h, 0, h], [0, q, h, -q], [0, -q, h, q]],
+)
+
+
+@pytest.fixture
+def saturation_lengths(monkeypatch):
+    """The vector length of each saturation sl2 runs from here on."""
+    lengths = []
+
+    def spy(field, length, ops, seeds):
+        lengths.append(length)
+        return saturate(field, length, ops, seeds)
+
+    monkeypatch.setattr(sl2, "saturate", spy)
+    return lengths
+
+
 class TestBurnside:
     def test_small_irrep_full(self):
         assert burnside_dim(irrep_Wm(1, cr(Fraction(5, 7)))) == 4
@@ -409,10 +549,18 @@ class TestBurnside:
 
     def test_reducible_pair(self):
         # proper value computed once by the saturation oracle, frozen since;
-        # the mod-p rank is short of 16, so the value comes from the exact path
+        # the top vector generates only 3 dimensions, so the value comes from
+        # the exact path; the rank mod p is a lower bound
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))
-        assert _algebra_rank(module, ModP) < 16
+        assert _algebra_rank(module, ModP) <= 13
         assert burnside_dim(module) == 13
+
+    def test_cyclic_but_reducible_pair(self):
+        # the local Weyl module of 0, 1: the top vector generates it, the top
+        # functional only the 3-dimensional dual of its irreducible quotient
+        module = local_weyl_sl2([cr(0), cr(1)])
+        assert hw_closure(module)[0] == 4
+        assert burnside_dim(module) == reference_algebra_rank(module) == 13
 
     @pytest.mark.parametrize(
         "factors, expected",
@@ -425,11 +573,29 @@ class TestBurnside:
     def test_rank_deficient_falls_back_to_exact(self, factors, expected):
         # proper values computed once by the exact saturation oracle, frozen since
         module = word_module([(m, cr(a)) for m, a in factors])
-        assert _algebra_rank(module, ModP) < module.dim**2
+        assert _algebra_rank(module, ModP) <= expected
         assert burnside_dim(module) == expected
+
+    def test_full_module_runs_no_algebra_saturation(self, saturation_lengths):
+        assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
+        assert saturation_lengths == [4, 4]
+        saturation_lengths.clear()
+        # a reducible module pays the dim^2 saturation after the closures
+        assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))) == 13
+        assert saturation_lengths[-1] == 16
+
+    @pytest.mark.parametrize("basis", [REPEATED_TOP_WEIGHT, NON_DIAGONAL_H0])
+    def test_guard_failure_takes_exact_path(self, basis, saturation_lengths):
+        module = rebased(direct_sum(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(3))), *basis, top_index=1)
+        assert check_relations(module, 2) == []
+        assert burnside_dim(module) == reference_algebra_rank(module) == 8
+        assert saturation_lengths == [16]
 
 
 class TestModularCertificate:
+    """The rank mod p of the reference `ModP` is a lower bound of
+    `burnside_dim`."""
+
     def test_prime_and_square_root_of_minus_one(self):
         p = ModP.P
         assert p % 4 == 1
@@ -444,17 +610,6 @@ class TestModularCertificate:
             assert ModP.lift(x * y) == ModP.lift(x) * ModP.lift(y) % ModP.P
             assert ModP.lift(x - y) == (ModP.lift(x) - ModP.lift(y)) % ModP.P
 
-    def test_full_span_is_certified_mod_p(self, monkeypatch):
-        fields = []
-
-        def spy(module, field):
-            fields.append(field)
-            return _algebra_rank(module, field)
-
-        monkeypatch.setattr(sl2, "_algebra_rank", spy)
-        assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
-        assert fields == [ModP]
-
     def test_rank_lost_mod_p_is_not_trusted(self):
         # a gap of 1 + p reduces to the reducible gap 1 mod p, but the exact
         # algebra is full: only gaps of +-1 make a W1 pair reducible
@@ -463,6 +618,7 @@ class TestModularCertificate:
         assert burnside_dim(module) == 16
 
     def test_denominator_divisible_by_p_takes_exact_path(self):
+        # no reduction mod p exists; burnside_dim works on the exact values
         eps = Fraction(1, ModP.P)
         for gap, expected in ((3, 16), (1, 13)):
             module = tensor(irrep_Wm(1, cr(eps)), irrep_Wm(1, cr(eps + gap)))
@@ -477,21 +633,33 @@ class TestModularCertificate:
                 st.integers(-6, 6).map(lambda k: Fraction(k, 2)),
             ),
             min_size=1,
-            max_size=3,
+            max_size=4,
         ),
         im=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-2)]),
+        twist=st.sampled_from([Fraction(0), Fraction(0), Fraction(4, 7)]),
         shift=st.tuples(st.fractions(-3, 3, max_denominator=7), st.fractions(-3, 3, max_denominator=7)),
     )
+    @example(factors=[(1, 3), (1, 2), (1, 1), (1, 0)], im=0, twist=0, shift=(1, 1))
+    @example(factors=[(1, 0), (1, 1), (1, 0)], im=Fraction(1, 3), twist=0, shift=(0, 0))
     @settings(max_examples=25, deadline=None)
-    def test_certified_equals_exact(self, factors, im, shift):
-        dim = 1
-        for m, _ in factors:
-            dim *= m + 1
-        # the exact oracle saturates in dim^2, so keep dim^2 <= 64
-        assume(dim <= 8)
-        module = word_module([(m, cr(a, im)) for m, a in factors])
-        for image in (module, apply_shift(module, cr(*shift))):
-            assert burnside_dim(image) == reference_algebra_rank(image)
+    def test_certified_equals_exact(self, factors, im, twist, shift):
+        # words up to dim 16, about a tenth of them reducible, and two
+        # reducible examples: the local Weyl module of 0..3, whose top vector
+        # generates it, and a word of dim 8 neither of whose closures is full;
+        # the first factor's twist makes some differences complex.  A full
+        # rank mod p is the exact rank, since it is a lower bound; otherwise
+        # the reference saturates.  The shift adds a multiple of h0 to hbar1,
+        # so it leaves the algebra as it is
+        assume(prod(m + 1 for m, _ in factors) <= 16)
+        module = word_module(
+            [(m, cr(a, im + (twist if i == 0 else 0))) for i, (m, a) in enumerate(factors)]
+        )
+        full = module.dim**2
+        lower = _algebra_rank(module, ModP)
+        exact = full if lower == full else reference_algebra_rank(module)
+        assert lower <= exact
+        assert burnside_dim(module) == exact
+        assert burnside_dim(apply_shift(module, cr(*shift))) == exact
 
 
 # Denominators include large primes (the certificate's prime among them), so
