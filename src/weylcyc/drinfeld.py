@@ -322,6 +322,17 @@ def type_from_json(value) -> LieType:
     return LieType.parse(value)
 
 
+def _parse_param(value, field: str) -> CRational:
+    """A spectral parameter or root of a wire object: a string such as
+    "3/2-1/2i", never a JSON number."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string such as \"3/2\", got {value!r}")
+    try:
+        return CRational.parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def word_to_dict(w: TensorWord) -> dict:
     return {
         "type": str(w.type),
@@ -342,10 +353,7 @@ def word_from_dict(data: dict) -> TensorWord:
         node = entry["node"]
         if not isinstance(node, int) or isinstance(node, bool):
             raise ValueError(f"factor 'node' must be an integer, got {node!r}")
-        try:
-            param = CRational.parse(str(entry["a"]))
-        except ValueError as exc:
-            raise ValueError(f"factor 'a': {exc}") from None
+        param = _parse_param(entry["a"], "factor 'a'")
         factors.append(FundamentalFactor(node, param))
     return TensorWord(lt, tuple(factors))
 
@@ -368,8 +376,5 @@ def tuple_from_dict(data: dict) -> DrinfeldTuple:
     for roots in polys:
         if not isinstance(roots, list):
             raise ValueError("each polynomial must be a list of root strings")
-        try:
-            out.append(MonicPoly(tuple(CRational.parse(str(r)) for r in roots)))
-        except ValueError as exc:
-            raise ValueError(f"'polys' root: {exc}") from None
+        out.append(MonicPoly(tuple(_parse_param(r, "'polys' root") for r in roots)))
     return DrinfeldTuple(lt, tuple(out))

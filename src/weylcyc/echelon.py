@@ -2,9 +2,14 @@
 
 A field is an echelon-form class, here `GaussianInt`, fraction-free over
 the Gaussian integers.  field(length) is an empty echelon form of vectors of
-that length, field.operator lifts an `sl2.ExactMatrix` into an op,
-field.apply applies an op to a vector, and field.unit builds a 0/1 seed
-vector; `saturate` closes the span of seeds under ops.
+that length, field.operator lifts an `sl2.ExactMatrix` into an op (a tuple of
+parts, each a list of (row, column, value) entries), field.apply applies an
+op to a vector, and field.unit builds a 0/1 seed vector.
+
+`saturate` closes the span of seeds under ops on a graded space: a direct
+sum of blocks, with vectors as (block, local vector) pairs, ops that each
+map one block into one block, and one echelon form per block.  The rank-1
+oracles take the blocks to be the weight spaces of h0.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .drinfeld import ZERO, CRational
 
@@ -70,12 +75,12 @@ class GaussianInt:
         )
 
     @staticmethod
-    def apply(op, vec: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+    def apply(op, vec: tuple[list[int], list[int]], length: int) -> tuple[list[int], list[int]]:
+        """op times vec, a vector of the given length."""
         re_op, im_op = op
         vr, vi = vec
-        n = len(vr)
-        out_r = _sparse_apply(re_op, vr, [0] * n)
-        out_i = _sparse_apply(im_op, vr, [0] * n)
+        out_r = _sparse_apply(re_op, vr, [0] * length)
+        out_i = _sparse_apply(im_op, vr, [0] * length)
         if any(vi):
             _sparse_apply(re_op, vi, out_i)
             _sparse_apply(im_op, [-y for y in vi], out_r)
@@ -133,40 +138,105 @@ class GaussianInt:
         insort(self.rows, (lead, vr[lead], row_re, row_im), key=lambda r: r[0])
         return vr, vi
 
-    def normalized_rows(self) -> list[list[CRational]]:
-        """Each row divided by its lead, as a dense list of Gaussian rationals."""
+    def normalized_rows(
+        self, columns: Sequence[int], length: int
+    ) -> list[tuple[int, list[CRational]]]:
+        """Each row divided by its lead, as (pivot, dense list of Gaussian
+        rationals) in a space of the given length that holds column j of
+        this echelon form at columns[j]."""
         out = []
-        for _, lead, row_re, row_im in self.rows:
+        for pivot, lead, row_re, row_im in self.rows:
             re, im = dict(row_re), dict(row_im)
-            v = [ZERO] * self.length
+            v = [ZERO] * length
             for j in re.keys() | im.keys():
-                v[j] = CRational(Fraction(re.get(j, 0), lead), Fraction(im.get(j, 0), lead))
-            out.append(v)
+                v[columns[j]] = CRational(
+                    Fraction(re.get(j, 0), lead), Fraction(im.get(j, 0), lead)
+                )
+            out.append((columns[pivot], v))
         return out
 
 
-def saturate(field, length: int, ops, seeds):
-    """Span of the seeds closed under the operators ops, as an echelon form
-    of the field.
+def saturate(field, sizes: Sequence[int], ops, seeds) -> list:
+    """Span of the seeds closed under the ops, as one echelon form of the
+    field per block.
 
-    Only residuals found in the previous round are pushed through the
-    operators again; the loop ends when a round finds nothing new or the span
-    fills the space.
+    The space is the direct sum of blocks of the given sizes, and a vector is
+    a (block, local vector) pair.  ops[b] lists the (target block, op) pairs
+    that send a vector of block b to a vector of the target block; a vector
+    of block b is sent through each of them in turn.  Only residuals found in
+    the previous round are pushed through the ops again, and ops into a block
+    that is already full are skipped; the loop ends when a round finds
+    nothing new or the span fills the space.
     """
-    basis = field(length)
-    frontier = [r for r in map(basis.insert, seeds) if r is not None]
+    echelons = [field(size) for size in sizes]
+    length = sum(sizes)
+    rank = 0
+
+    def insert(block: int, vec):
+        nonlocal rank
+        residual = echelons[block].insert(vec)
+        if residual is None:
+            return None
+        rank += 1
+        return block, residual
+
+    frontier = [r for r in (insert(*seed) for seed in seeds) if r is not None]
     rounds = 0
-    while frontier and basis.rank < length:
+    while frontier and rank < length:
         rounds += 1
         if rounds > length + 1:
             raise RuntimeError("saturation failed to stabilize; arithmetic bug")
         new = []
-        for v in frontier:
-            for op in ops:
-                residual = basis.insert(field.apply(op, v))
-                if residual is not None:
-                    new.append(residual)
-            if basis.rank == length:
+        for block, v in frontier:
+            for target, op in ops[block]:
+                if echelons[target].rank < sizes[target]:
+                    residual = insert(target, field.apply(op, v, sizes[target]))
+                    if residual is not None:
+                        new.append(residual)
+            if rank == length:
                 break
         frontier = new
-    return basis
+    return echelons
+
+
+class Split:
+    """Square matrices lifted by a field and cut into their pieces between
+    blocks of basis indices: the piece of g from block nu to block mu' is
+    E_mu' g E_nu, where E_nu keeps the coordinates of block nu.
+
+    blocks[b] lists the basis indices of block b in increasing order, and
+    where[i] is the (block, local index) of basis index i.  pieces lists,
+    matrix by matrix, the (source block, target block, op) of each nonzero
+    piece, with op in local indices.
+    """
+
+    def __init__(self, field, mats, blocks: list[list[int]]):
+        self.field, self.blocks = field, blocks
+        self.sizes = [len(block) for block in blocks]
+        self.where = [(0, 0)] * sum(self.sizes)
+        for b, block in enumerate(blocks):
+            for local, i in enumerate(block):
+                self.where[i] = (b, local)
+        self.pieces: list[tuple[int, int, tuple]] = []
+        for mat in mats:
+            op = field.operator(mat)
+            cut: dict[tuple[int, int], tuple] = {}
+            for p, part in enumerate(op):
+                for i, j, x in part:
+                    target, li = self.where[i]
+                    source, lj = self.where[j]
+                    piece = cut.get((source, target))
+                    if piece is None:
+                        piece = cut[source, target] = tuple([] for _ in op)
+                    piece[p].append((li, lj, x))
+            self.pieces += [(source, target, piece) for (source, target), piece in cut.items()]
+
+    def closure(self, pieces, index: int) -> list:
+        """Echelon forms, block by block, of the closure of basis vector
+        index under pieces, listed like self.pieces."""
+        ops = [[] for _ in self.blocks]
+        for source, target, op in pieces:
+            ops[source].append((target, op))
+        block, local = self.where[index]
+        seed = self.field.unit(self.sizes[block], [local])
+        return saturate(self.field, self.sizes, ops, [(block, seed)])

@@ -40,16 +40,15 @@ class LieType:
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
-        """Parse strings like 'A3', 'c2' (case-insensitive)."""
+        """Parse strings like 'A3', 'c2': a family letter (case-insensitive)
+        and the rank in ASCII decimal, with no sign, space or leading zero."""
         text = text.strip()
         if len(text) < 2:
             raise ValueError(f"cannot parse Lie type {text!r}")
-        family = text[0].upper()
-        try:
-            rank = int(text[1:])
-        except ValueError:
-            raise ValueError(f"cannot parse rank in Lie type {text!r}") from None
-        return cls(family, rank)
+        digits = text[1:]
+        if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+            raise ValueError(f"cannot parse rank in Lie type {text!r}")
+        return cls(text[0].upper(), int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

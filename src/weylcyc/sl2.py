@@ -13,10 +13,13 @@ and `burnside_dim` computes the dimension of the generated matrix algebra
 first tries to prove irreducibility with two closures of dimension dim, of
 the top vector and of the top coordinate functional under the transposed
 generators, and saturates the algebra in dimension dim^2 only when that
-fails.  Saturation clears the denominators of each generator and runs
-fraction-free elimination on Gaussian integers held as pairs of Python ints,
-so no rational arithmetic is done in it; the echelon form and the saturation
-loop are in `echelon`.
+fails, one column class A E_nu per weight nu of h0.  Every saturation is
+graded by the weight spaces of h0: each generator is cut once into its
+pieces E_mu' g E_nu between weight spaces, and a vector is only reduced
+against the rows of its own weight space.  Saturation clears the
+denominators of each generator and runs fraction-free elimination on
+Gaussian integers held as pairs of Python ints, so no rational arithmetic is
+done in it; the echelon form and the saturation loop are in `echelon`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from .drinfeld import ONE, ZERO, CRational
-from .echelon import GaussianInt, saturate
+from .echelon import GaussianInt, Split, saturate
 
 
 Row = tuple[tuple[int, CRational], ...]
@@ -323,6 +326,35 @@ def _generators(module: Sl2Module) -> tuple[ExactMatrix, ...]:
     return (module.xp, module.xm, module.h0, module.hbar1)
 
 
+def _h0_weights(module: Sl2Module) -> list[CRational] | None:
+    """The diagonal of h0, or None when h0 is not diagonal."""
+    weights = []
+    for i, row in enumerate(module.h0.rows):
+        if len(row) > 1 or (row and row[0][0] != i):
+            return None
+        weights.append(row[0][1] if row else ZERO)
+    return weights
+
+
+def _split(module: Sl2Module, field) -> Split:
+    """The generators lifted by the field and cut into their pieces
+    E_mu' g E_nu between the weight spaces of h0, blocks in order of first
+    appearance; one block when h0 is not diagonal.  A diagonal h0 is left
+    out: it acts on each block as a multiple of the identity, so it maps
+    every vector of a block into its own span."""
+    weights = _h0_weights(module)
+    if weights is None:
+        return Split(field, _generators(module), [list(range(module.dim))])
+    groups: dict[CRational, list[int]] = {}
+    for i, weight in enumerate(weights):
+        groups.setdefault(weight, []).append(i)
+    return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()))
+
+
+def _rank(echelons) -> int:
+    return sum(echelon.rank for echelon in echelons)
+
+
 def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """Smallest subspace containing the top vector and invariant under the
     four generators, by iterated application and fraction-free row reduction
@@ -331,53 +363,67 @@ def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     Returns the dimension and the echelon basis, each vector with lead entry
     1.  The module is generated by its top vector iff the dimension equals
     the module dimension; the four generators suffice because every higher
-    mode is an iterated hbar1-bracket of them.
+    mode is an iterated hbar1-bracket of them.  When h0 is diagonal the
+    closure is h0-invariant, hence the sum of its intersections with the
+    weight spaces, and it is saturated weight space by weight space under the
+    pieces E_mu' g E_nu of the generators; every vector it makes is a weight
+    vector.
     """
-    n = module.dim
-    ops = [GaussianInt.operator(g) for g in _generators(module)]
-    basis = saturate(GaussianInt, n, ops, [GaussianInt.unit(n, [module.top_index])])
-    return basis.rank, basis.normalized_rows()
-
-
-def _algebra_rank(module: Sl2Module, field) -> int:
-    """Dimension over the field of the unital algebra the generators span.
-
-    The algebra is saturated as flattened n x n matrices (row i of a matrix
-    at i*n .. i*n+n-1) under left multiplication by each generator, starting
-    from the identity.
-    """
-    n = module.dim
-    ops = [
-        tuple(
-            [(i * n + j, k * n + j, x) for i, k, x in part for j in range(n)]
-            for part in field.operator(g)
-        )
-        for g in _generators(module)
+    split = _split(module, GaussianInt)
+    echelons = split.closure(split.pieces, module.top_index)
+    rows = [
+        row
+        for columns, echelon in zip(split.blocks, echelons)
+        for row in echelon.normalized_rows(columns, module.dim)
     ]
-    identity = field.unit(n * n, [i * n + i for i in range(n)])
-    return saturate(field, n * n, ops, [identity]).rank
+    rows.sort(key=lambda row: row[0])
+    return _rank(echelons), [v for _, v in rows]
 
 
-def _top_weight_is_simple(module: Sl2Module) -> bool:
-    """h0 is diagonal and no other basis vector has the top vector's weight."""
-    weights = []
-    for i, row in enumerate(module.h0.rows):
-        if len(row) > 1 or (row and row[0][0] != i):
-            return False
-        weights.append(row[0][1] if row else ZERO)
-    return weights.count(weights[module.top_index]) == 1
+def _algebra_rank(split: Split) -> int:
+    """Dimension over the split's field of the unital algebra A the
+    generators span, summed over its column classes A E_nu.
+
+    When h0 is diagonal, each projection E_nu is a polynomial in h0, so it
+    lies in A; the E_nu are orthogonal idempotents that sum to 1, so A is the
+    direct sum of the classes A E_nu, whose matrices are zero outside the
+    columns of block nu.  A E_nu is the closure of E_nu under left
+    multiplication by the generators.  It is also the closure C of E_nu
+    under the pieces E_mu' g E_nu: every piece lies in A, so C lies in
+    A E_nu; C is spanned by matrices with rows in a single block, and every
+    generator is the sum of its pieces, so C is closed under the generators
+    and holds A E_nu.  Each class is saturated on its own, a matrix with
+    rows in block mu stored column by column as a vector of block mu, and
+    the ranks are summed.  With one block this is the saturation of A from
+    the identity.
+    """
+    field, sizes = split.field, split.sizes
+    rank = 0
+    for nu, width in enumerate(sizes):
+        ops = [[] for _ in sizes]
+        for source, target, op in split.pieces:
+            rt, rs = sizes[target], sizes[source]
+            widened = tuple(
+                [(j * rt + i, j * rs + k, x) for j in range(width) for i, k, x in part]
+                for part in op
+            )
+            ops[source].append((target, widened))
+        seed = field.unit(width * width, [i * width + i for i in range(width)])
+        rank += _rank(saturate(field, [size * width for size in sizes], ops, [(nu, seed)]))
+    return rank
 
 
-def _cocyclic(module: Sl2Module) -> bool:
+def _cocyclic(split: Split, top_index: int) -> bool:
     """The top vector generates the module, and the top coordinate functional
     generates its dual under the transposed generators."""
-    n = module.dim
-    ops = [GaussianInt.operator(g) for g in _generators(module)]
-    seeds = [GaussianInt.unit(n, [module.top_index])]
-    if saturate(GaussianInt, n, ops, seeds).rank < n:
+    n = len(split.where)
+    if _rank(split.closure(split.pieces, top_index)) < n:
         return False
-    transposed = [tuple([(j, i, x) for i, j, x in part] for part in op) for op in ops]
-    return saturate(GaussianInt, n, transposed, seeds).rank == n
+    transposed = [
+        (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
+        for source, target, op in split.pieces
+    ]
+    return _rank(split.closure(transposed, top_index)) == n
 
 
 def burnside_dim(module: Sl2Module) -> int:
@@ -402,12 +448,18 @@ def burnside_dim(module: Sl2Module) -> int:
     says no nonzero submodule misses it: together they say the module is
     irreducible, and an irreducible module passes both.  Then the result is
     dim^2.  When the guard or either closure fails, the algebra is saturated
-    exactly, by fraction-free elimination over the Gaussian integers
-    (`GaussianInt`), and its rank is returned.
+    exactly, one column class A E_nu per h0-weight nu (`_algebra_rank`), by
+    fraction-free elimination over the Gaussian integers (`GaussianInt`),
+    and its rank is returned.  The generators are lifted and cut into weight
+    pieces once, for the closures and the classes alike.
     """
-    if _top_weight_is_simple(module) and _cocyclic(module):
+    split = _split(module, GaussianInt)
+    # the top vector spans its block iff the guard holds: a non-diagonal h0
+    # gives one block of size dim > 1
+    top_block = split.blocks[split.where[module.top_index][0]]
+    if len(top_block) == 1 and _cocyclic(split, module.top_index):
         return module.dim * module.dim
-    return _algebra_rank(module, GaussianInt)
+    return _algebra_rank(split)
 
 
 def apply_shift(module: Sl2Module, c) -> Sl2Module:

@@ -18,6 +18,7 @@ from weylcyc import (
     MonicPoly,
     TensorWord,
     apply_shift,
+    burnside_dim,
     cartan_data,
     derive_s_from_t,
     hw_closure,
@@ -261,3 +262,13 @@ def test_criterion_14_local_weyl_string_of_eight():
         module = local_weyl_sl2([cr(k) for k in range(8)])
         assert module.dim == 256
         assert hw_closure(module)[0] == 256
+
+
+def test_criterion_15_reducible_local_weyl_algebras():
+    # values frozen from the ungraded exact saturation (it took 0.5 and 20 s);
+    # with k = 2, 3, 4 (13, 40, 121) and k = 7 (3280) they fit
+    # (3^(k+1) - 1) / 2 for the string of k roots, an observed pattern, not a
+    # proven formula
+    with criterion(15, "Burnside algebras of the local Weyl strings 0..4, 0..5: 364, 1093", 5):
+        for k, algebra in ((5, 364), (6, 1093)):
+            assert burnside_dim(local_weyl_sl2([cr(j) for j in range(k)])) == algebra

@@ -27,6 +27,13 @@ def test_sets_case_insensitive_type(capsys):
     assert json.loads(out)["s_set"] == ["1", "4"]
 
 
+def test_sets_non_canonical_rank_exit_one(capsys):
+    for text in ["A+3", "A 3", "a03", "A\u0663"]:
+        code, out, err = run(capsys, "sets", "--type", text, "--bm", "1", "--bn", "1")
+        assert code == 1 and out == ""
+        assert "cannot parse rank" in err
+
+
 def test_sets_tset(capsys):
     code, out, _ = run(capsys, "sets", "--type", "C3", "--bm", "3", "--bn", "3", "--tset")
     assert code == 0
@@ -114,6 +121,19 @@ def test_zero_denominator_names_the_field(capsys, argv, field):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert field in err and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":1}]}'], "factor 'a'"),
+        (["factorize", "--tuple", '{"type":"A1","polys":[["2",1.5]]}'], "'polys' root"),
+    ],
+)
+def test_json_number_is_not_a_parameter(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"{field} must be a string" in err
 
 
 def test_dual_reports_kappa(capsys):
@@ -209,6 +229,10 @@ def test_sl2_oracle_over_the_cap_exit_one(capsys):
     code, out, err = run(capsys, "sl2-oracle", "--word", word)
     assert code == 1 and out == ""
     assert f"at most {MAX_ORACLE_FACTORS} factors" in err and f"got {len(factors)}" in err
+    # at the cap the reducible unit-step word runs, algebra included
+    word = json.dumps({"type": "A1", "factors": factors[:-1]})
+    code, out, _ = run(capsys, "sl2-oracle", "--word", word)
+    assert code == 0 and json.loads(out)["burnside_full"] is False
 
 
 def word_of_rank(family, rank):

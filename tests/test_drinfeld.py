@@ -319,6 +319,8 @@ class TestCodecProperties:
         for field, value, named in [
             ("node", data.draw(st.booleans()), "'node'"),
             ("a", data.draw(st.booleans()), "'a'"),
+            ("a", data.draw(st.integers()), "'a' must be a string"),
+            ("a", data.draw(st.floats()), "'a' must be a string"),
             ("a", data.draw(zero_denominators), "'a': zero denominator"),
         ]:
             bad = word_to_dict(word)
@@ -336,6 +338,8 @@ class TestCodecProperties:
         node = data.draw(st.integers(0, tup.type.rank - 1))
         for value, named in [
             (data.draw(st.booleans()), "'polys' root"),
+            (data.draw(st.integers()), "'polys' root must be a string"),
+            (data.draw(st.floats()), "'polys' root must be a string"),
             (data.draw(zero_denominators), "'polys' root: zero denominator"),
         ]:
             bad = tuple_to_dict(tup)

@@ -27,6 +27,10 @@ def test_type_parsing():
         LieType.parse("Axy")
     with pytest.raises(ValueError):
         LieType("D", 2)
+    for text in ["A+3", "A 3", "a03", "A\u0663", "A-3", "A3.0"]:
+        # int() takes these for 3; the rank is canonical ASCII decimal only
+        with pytest.raises(ValueError, match="cannot parse rank"):
+            LieType.parse(text)
     with pytest.raises(ValueError):
         LieType("B", 1)
 

@@ -20,9 +20,9 @@ from weylcyc import (
     tensor,
     word_module,
 )
-from weylcyc import sl2
+from weylcyc import echelon, sl2
 from weylcyc.echelon import GaussianInt, saturate
-from weylcyc.sl2 import Sl2Module, _algebra_rank, commutator, kron
+from weylcyc.sl2 import Sl2Module, _algebra_rank, _split, commutator, kron
 
 
 def cr(re, im=0):
@@ -191,7 +191,7 @@ def reference_algebra_rank(module):
 # (r^2 = -1 mod p) is a ring map onto F_p, so it maps each word in the
 # generators to the same word in the reduced generators, and a set of words
 # independent mod p is independent over Q(i): the rank mod p is at most the
-# exact rank.  `_algebra_rank(module, ModP)` runs the saturation over F_p.
+# exact rank.  `_algebra_rank(_split(module, ModP))` runs the saturation over F_p.
 
 
 class NotReducible(ArithmeticError):
@@ -236,9 +236,9 @@ class ModP:
         return ([entry for entry in lifted if entry[2]],)
 
     @staticmethod
-    def apply(op, vec):
+    def apply(op, vec, length):
         (entries,) = op
-        out = [0] * len(vec)
+        out = [0] * length
         for i, j, x in entries:
             if vec[j]:
                 out[i] += x * vec[j]
@@ -528,14 +528,17 @@ NON_DIAGONAL_H0 = (
 
 @pytest.fixture
 def saturation_lengths(monkeypatch):
-    """The vector length of each saturation sl2 runs from here on."""
+    """The block lengths of each saturation sl2 runs from here on, closures
+    and column classes alike; the vector length of a saturation is their
+    sum."""
     lengths = []
 
-    def spy(field, length, ops, seeds):
-        lengths.append(length)
-        return saturate(field, length, ops, seeds)
+    def spy(field, sizes, ops, seeds):
+        lengths.append(list(sizes))
+        return saturate(field, sizes, ops, seeds)
 
     monkeypatch.setattr(sl2, "saturate", spy)
+    monkeypatch.setattr(echelon, "saturate", spy)
     return lengths
 
 
@@ -552,7 +555,7 @@ class TestBurnside:
         # the top vector generates only 3 dimensions, so the value comes from
         # the exact path; the rank mod p is a lower bound
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))
-        assert _algebra_rank(module, ModP) <= 13
+        assert _algebra_rank(_split(module, ModP)) <= 13
         assert burnside_dim(module) == 13
 
     def test_cyclic_but_reducible_pair(self):
@@ -573,23 +576,32 @@ class TestBurnside:
     def test_rank_deficient_falls_back_to_exact(self, factors, expected):
         # proper values computed once by the exact saturation oracle, frozen since
         module = word_module([(m, cr(a)) for m, a in factors])
-        assert _algebra_rank(module, ModP) <= expected
+        assert _algebra_rank(_split(module, ModP)) <= expected
         assert burnside_dim(module) == expected
 
     def test_full_module_runs_no_algebra_saturation(self, saturation_lengths):
+        # two closures of length dim = 4, on the weight spaces -2, 0, 2
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
-        assert saturation_lengths == [4, 4]
+        assert saturation_lengths == [[1, 2, 1], [1, 2, 1]]
         saturation_lengths.clear()
-        # a reducible module pays the dim^2 saturation after the closures
+        # a reducible module pays the dim^2 saturation after the closures (the
+        # first already fails): one saturation per column class A E_nu, of
+        # length 4 |nu|, together dim^2 = 16
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))) == 13
-        assert saturation_lengths[-1] == 16
+        assert saturation_lengths == [[1, 2, 1], [1, 2, 1], [2, 4, 2], [1, 2, 1]]
+        assert sum(map(sum, saturation_lengths[1:])) == 16
 
     @pytest.mark.parametrize("basis", [REPEATED_TOP_WEIGHT, NON_DIAGONAL_H0])
     def test_guard_failure_takes_exact_path(self, basis, saturation_lengths):
         module = rebased(direct_sum(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(3))), *basis, top_index=1)
         assert check_relations(module, 2) == []
         assert burnside_dim(module) == reference_algebra_rank(module) == 8
-        assert saturation_lengths == [16]
+        # no closure runs, only the column classes, together of length dim^2:
+        # a diagonal h0 has two weight spaces of dimension 2, so two classes
+        # of two weight blocks each; a non-diagonal h0 gives one block
+        classes = [[16]] if basis is NON_DIAGONAL_H0 else [[4, 4], [4, 4]]
+        assert saturation_lengths == classes
+        assert sum(map(sum, saturation_lengths)) == 16
 
 
 class TestModularCertificate:
@@ -614,7 +626,7 @@ class TestModularCertificate:
         # a gap of 1 + p reduces to the reducible gap 1 mod p, but the exact
         # algebra is full: only gaps of +-1 make a W1 pair reducible
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1 + ModP.P)))
-        assert _algebra_rank(module, ModP) == 13
+        assert _algebra_rank(_split(module, ModP)) == 13
         assert burnside_dim(module) == 16
 
     def test_denominator_divisible_by_p_takes_exact_path(self):
@@ -623,7 +635,7 @@ class TestModularCertificate:
         for gap, expected in ((3, 16), (1, 13)):
             module = tensor(irrep_Wm(1, cr(eps)), irrep_Wm(1, cr(eps + gap)))
             with pytest.raises(NotReducible):
-                _algebra_rank(module, ModP)
+                _algebra_rank(_split(module, ModP))
             assert burnside_dim(module) == reference_algebra_rank(module) == expected
 
     @given(
@@ -655,7 +667,7 @@ class TestModularCertificate:
             [(m, cr(a, im + (twist if i == 0 else 0))) for i, (m, a) in enumerate(factors)]
         )
         full = module.dim**2
-        lower = _algebra_rank(module, ModP)
+        lower = _algebra_rank(_split(module, ModP))
         exact = full if lower == full else reference_algebra_rank(module)
         assert lower <= exact
         assert burnside_dim(module) == exact
@@ -715,7 +727,7 @@ class TestFractionFreeAgainstReference:
         module = word_module([(m, base + k + cr(0, t)) for m, k, t in factors])
         for image in (module, apply_shift(module, shift)):
             assert hw_closure(image) == reference_hw_closure(image)
-            assert _algebra_rank(image, GaussianInt) == reference_algebra_rank(image)
+            assert _algebra_rank(_split(image, GaussianInt)) == reference_algebra_rank(image)
 
     @given(
         offsets=st.lists(
@@ -733,6 +745,59 @@ class TestFractionFreeAgainstReference:
         # the generators would change the span, as in the example (closure 12)
         module = word_module([(1, base + k + cr(0, t)) for k, t in offsets])
         assert hw_closure(module) == reference_hw_closure(module)
+
+
+def in_span(rows, vectors):
+    """Every vector lies in the span of rows, over Q(i)."""
+    basis = ReferenceEchelon(len(rows[0]))
+    for v in rows:
+        basis.insert(v)
+    return all(basis.insert(v) is None for v in vectors)
+
+
+@st.composite
+def hand_built_modules(draw, diagonal_h0):
+    """Modules of dim <= 5 with arbitrary sparse Gaussian-rational xp, xm and
+    hbar1, so not weight vectors, and an h0 that is either diagonal with a
+    repeated weight or not diagonal at all.  They satisfy no relation."""
+    n = draw(st.integers(2, 5) if diagonal_h0 else st.integers(2, 4))
+    entries = st.one_of(st.just(ZERO), gaussian)
+    matrices = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    if diagonal_h0:
+        weights = draw(
+            st.lists(st.sampled_from([ZERO, cr(2), cr(-1, 1)]), min_size=n, max_size=n)
+            .filter(lambda w: len(set(w)) < n)
+        )
+        h0 = ExactMatrix(tuple(((i, w),) if w else () for i, w in enumerate(weights)))
+    else:
+        h0 = ExactMatrix.from_rows(draw(matrices))
+        assume(any(j != i for i, row in enumerate(h0.rows) for j, _ in row))
+    xp, xm, hbar1 = (ExactMatrix.from_rows(draw(matrices)) for _ in range(3))
+    return Sl2Module(
+        xp, xm, h0, hbar1, tuple(f"e{i}" for i in range(n)), draw(st.integers(0, n - 1))
+    )
+
+
+class TestWeightBlocksOnHandBuiltModules:
+    """The weight-graded closures and column classes agree with the
+    ungraded references on matrices that are not weight-homogeneous, where
+    each generator has pieces E_mu' g E_nu into several weight blocks."""
+
+    @given(data=st.data(), diagonal_h0=st.sampled_from([True, True, False]))
+    @settings(max_examples=80, deadline=None)
+    def test_graded_equals_reference(self, data, diagonal_h0):
+        module = data.draw(hand_built_modules(diagonal_h0))
+        expected = reference_algebra_rank(module)
+        assert _algebra_rank(_split(module, GaussianInt)) == expected
+        assert burnside_dim(module) == expected
+        # the graded closure stores weight vectors and the reference the raw
+        # images, so the echelon rows differ; the ranks and spans agree
+        rank, basis = hw_closure(module)
+        ref_rank, ref_basis = reference_hw_closure(module)
+        assert rank == ref_rank and in_span(ref_basis, basis)
+        blocks = _split(module, GaussianInt).blocks
+        weights = [module.h0.entry(i, i) for i in range(module.dim)]
+        assert len(blocks) == (len(set(weights)) if diagonal_h0 else 1)
 
 
 class TestShift:
