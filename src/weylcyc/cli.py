@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
-All structured output is JSON with exact string-encoded rationals; --pretty
-switches to a human-readable rendering.  Exit codes: 0 success, 1 usage or
-parse error, 2 criterion violated / oracle mismatch (with --assert) or a
-failed selftest.
+Each subcommand handler builds its report and returns it with the exit code;
+`main` prints the report once, as one JSON document with exact
+string-encoded rationals and sorted keys (indented under --pretty), and
+prints nothing on stdout when the handler raises.  Exit codes: 0 success,
+1 usage or parse error, 2 criterion violated / oracle mismatch (with
+--assert) or a failed selftest.
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(report: dict, pretty: bool, lines=None) -> None:
-    if pretty and lines is not None:
-        for line in lines:
-            print(line)
-    else:
-        print(json.dumps(report, sort_keys=True))
-
-
 def _load_json(text: str, what: str) -> dict:
     try:
         return json.loads(text)
@@ -78,39 +72,31 @@ def _violations_json(violations) -> list[dict]:
     ]
 
 
-def _cmd_sets(args) -> int:
+def _cmd_sets(args) -> tuple[dict, int]:
     lt = _check_rank(LieType.parse(args.type))
     data = cartan_data(lt)
     if args.tset:
         tset = criteria.t_set_C(data, args.bm, args.bn)
         derived = criteria.derive_s_from_t(data, args.bm, args.bn)
-        offsets = tset.sorted_offsets()
         report = {
             "type": str(lt),
             "i": args.bm,
             "rj": args.bn,
             "t_set": [
                 {"scale": str(scale), "shift": str(shift), "root": _render_root(scale, shift)}
-                for scale, shift in offsets
+                for scale, shift in tset.sorted_offsets()
             ],
             "derived_s": [str(v) for v in derived.sorted_values()],
         }
-        lines = [f"T({args.bm},{args.bn}) for {lt}:"]
-        lines += [f"  {_render_root(scale, shift)}" for scale, shift in offsets]
-        lines.append("derived S: {" + ", ".join(str(v) for v in derived.sorted_values()) + "}")
-        _emit(report, args.pretty, lines)
-        return 0
+        return report, 0
     sset = criteria.s_set(data, args.bm, args.bn)
-    values = sset.sorted_values()
     report = {
         "type": str(lt),
         "bm": args.bm,
         "bn": args.bn,
-        "s_set": [str(v) for v in values],
+        "s_set": [str(v) for v in sset.sorted_values()],
     }
-    lines = [f"S({args.bm},{args.bn}) for {lt} = {{" + ", ".join(str(v) for v in values) + "}"]
-    _emit(report, args.pretty, lines)
-    return 0
+    return report, 0
 
 
 def _render_root(scale, shift) -> str:
@@ -118,37 +104,21 @@ def _render_root(scale, shift) -> str:
     return base if scale == 1 else f"({base})/2"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, int]:
     word = _load(args.word, "word", word_from_dict)
     if args.irreducible:
         verdict = criteria.is_irreducible(word)
-        report = {
-            "word": word_to_dict(word),
-            "status": verdict.status.value,
-            "violations": _violations_json(verdict.evidence),
-        }
-        lines = [f"irreducibility: {verdict.status.value}"]
-        lines += [
-            f"  pair ({v.m},{v.n}): difference {v.diff} lies in S, member {v.member}"
-            for v in verdict.evidence
-        ]
-        _emit(report, args.pretty, lines)
-        violated = verdict.status is not IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
+        key, value, violations = "status", verdict.status.value, verdict.evidence
     else:
         result = criteria.is_cyclic(word)
-        report = {
-            "word": word_to_dict(word),
-            "cyclic_guaranteed": result.cyclic_guaranteed,
-            "violations": _violations_json(result.violations),
-        }
-        lines = [f"cyclic guaranteed: {result.cyclic_guaranteed}"]
-        lines += [
-            f"  pair ({v.m},{v.n}): difference {v.diff} lies in S, member {v.member}"
-            for v in result.violations
-        ]
-        _emit(report, args.pretty, lines)
-        violated = not result.cyclic_guaranteed
-    return 2 if args.assert_ and violated else 0
+        key, value, violations = "cyclic_guaranteed", result.cyclic_guaranteed, result.violations
+    report = {
+        "word": word_to_dict(word),
+        key: value,
+        "violations": _violations_json(violations),
+    }
+    # both criteria are violated exactly when some pair is
+    return report, 2 if args.assert_ and violations else 0
 
 
 _KAPPA_NOTE = (
@@ -157,23 +127,15 @@ _KAPPA_NOTE = (
 )
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> tuple[dict, int]:
     word = _load(args.word, "word", word_from_dict)
-    dual = criteria.left_dual(word)
-    data = cartan_data(word.type)
     report = {
         "word": word_to_dict(word),
-        "dual": word_to_dict(dual),
-        "kappa": str(data.kappa),
+        "dual": word_to_dict(criteria.left_dual(word)),
+        "kappa": str(cartan_data(word.type).kappa),
         "note": _KAPPA_NOTE,
     }
-    lines = [
-        f"left dual (kappa = {data.kappa}):",
-        "  " + json.dumps(word_to_dict(dual), sort_keys=True),
-        f"note: {_KAPPA_NOTE}",
-    ]
-    _emit(report, args.pretty, lines)
-    return 0
+    return report, 0
 
 
 def _check_cap(command: str, size: int, cap: int, unit: str) -> None:
@@ -184,11 +146,10 @@ def _check_cap(command: str, size: int, cap: int, unit: str) -> None:
         )
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> tuple[dict, int]:
     t = _load(args.tuple, "tuple", tuple_from_dict)
     word = criteria.weyl_factorize(t)
     report = {"tuple": tuple_to_dict(t), "word": word_to_dict(word)}
-    lines = ["ordered factorization:", "  " + json.dumps(word_to_dict(word), sort_keys=True)]
     if t.type == LieType("A", 1):
         _check_cap("factorize", len(word.factors), MAX_FACTORIZE_ROOTS, "roots")
         module = sl2.local_weyl_sl2([f.param for f in word.factors])
@@ -196,12 +157,10 @@ def _cmd_factorize(args) -> int:
         report.update(
             {"closure_dim": rank, "dim": module.dim, "full": rank == module.dim}
         )
-        lines.append(f"rank-1 closure check: {rank} of {module.dim}")
-    _emit(report, args.pretty, lines)
-    return 0
+    return report, 0
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> tuple[dict, int]:
     t = _load(args.tuple, "tuple", tuple_from_dict)
     if args.table is not None:
         table = _load(args.table, "table", weyl_dims.table_from_dict)
@@ -214,12 +173,10 @@ def _cmd_dims(args) -> int:
         "bound": dim,
         "table_source": table.source,
     }
-    lines = [f"local Weyl dimension {dim} (bound {dim}, attained)"]
-    _emit(report, args.pretty, lines)
-    return 0
+    return report, 0
 
 
-def _cmd_sl2_oracle(args) -> int:
+def _cmd_sl2_oracle(args) -> tuple[dict, int]:
     word = _load(args.word, "word", word_from_dict)
     if word.type != LieType("A", 1):
         raise ValueError(f"sl2-oracle requires type A1 words, got {word.type}")
@@ -247,29 +204,22 @@ def _cmd_sl2_oracle(args) -> int:
         "criterion": verdict.status.value,
         "agree": agree,
     }
-    lines = [
-        f"dim {module.dim}, closure {closure}, algebra {algebra} of {module.dim ** 2}",
-        f"criterion: cyclic_guaranteed={cyc.cyclic_guaranteed}, {verdict.status.value}",
-        f"oracle agreement: {agree}",
+    return report, 2 if args.assert_ and not agree else 0
+
+
+def _cmd_selftest(args) -> tuple[dict, int]:
+    checks = [
+        {"name": name, "passed": ok, "detail": detail}
+        for name, ok, detail in selftest.run_all()
     ]
-    _emit(report, args.pretty, lines)
-    return 2 if args.assert_ and not agree else 0
-
-
-def _cmd_selftest(args) -> int:
-    results = selftest.run_all()
-    all_ok = True
-    for name, ok, detail in results:
-        all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    print("selftest:", "all checks passed" if all_ok else "FAILURES above")
-    return 0 if all_ok else 2
+    passed = all(check["passed"] for check in checks)
+    return {"checks": checks, "passed": passed}, 0 if passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weylcyc")
     common = _Parser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="human-readable output")
+    common.add_argument("--pretty", action="store_true", help="indent the JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sets", parents=[common],
@@ -313,13 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except (ValueError, KeyError, ArithmeticError, RuntimeError) as exc:
         print(f"weylcyc: error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(report, sort_keys=True, indent=2 if args.pretty else None))
+    return code
 
 
 if __name__ == "__main__":

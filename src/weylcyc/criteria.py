@@ -78,12 +78,11 @@ class PairViolation:
 
 @dataclass(frozen=True)
 class CyclicityReport:
-    cyclic_guaranteed: bool
     violations: tuple[PairViolation, ...]
 
-    def __post_init__(self):
-        if self.cyclic_guaranteed != (not self.violations):
-            raise ValueError("cyclic_guaranteed must mean exactly 'no violations'")
+    @property
+    def cyclic_guaranteed(self) -> bool:
+        return not self.violations
 
 
 class IrreducibilityStatus(enum.Enum):
@@ -244,7 +243,7 @@ def is_cyclic(w: TensorWord) -> CyclicityReport:
     irreducibility).
     """
     violations = _pair_scan(w, both_orders=False)
-    return CyclicityReport(not violations, violations)
+    return CyclicityReport(violations)
 
 
 def is_irreducible(w: TensorWord) -> IrreducibilityVerdict:

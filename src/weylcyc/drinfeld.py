@@ -119,7 +119,10 @@ class CRational:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-    _PATTERN = re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*(?:([+-]\d+(?:/\d+)?)\s*i)?\s*$")
+    # ASCII only: Fraction() reads any Unicode decimal digit
+    _PATTERN = re.compile(
+        r"^\s*([+-]?\d+(?:/\d+)?)\s*(?:([+-]\d+(?:/\d+)?)\s*i)?\s*$", re.ASCII
+    )
 
     @classmethod
     def parse(cls, text: str) -> "CRational":

@@ -18,12 +18,20 @@ from .rootsys import LieType, cartan_data
 
 MAX_RANK = 8
 
+# the rank-1 grid words: parameters in GRID, lengths up to MAX_GRID_LEN
 GRID = [Fraction(k, 2) for k in range(-4, 5)]
+MAX_GRID_LEN = 3
+
+# the factorization check draws PER_FAMILY tuples per family, each of total
+# degree at most MAX_TOTAL_DEGREE, from random.Random(SEED)
+MAX_TOTAL_DEGREE = 8
+PER_FAMILY = 100
+SEED = 20260810
 
 
-def _all_types(max_rank: int = MAX_RANK):
+def _all_types():
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for l in range(lo, max_rank + 1):
+        for l in range(lo, MAX_RANK + 1):
             yield LieType(family, l)
 
 
@@ -78,11 +86,11 @@ def a1_word(params) -> TensorWord:
     )
 
 
-def rank1_cyclicity_grid(max_len: int = 3) -> tuple[int, str | None]:
-    """Close every criterion-cyclic grid word of length <= max_len; return how
-    many were closed and the first whose closure falls short (None if none)."""
+def rank1_cyclicity_grid() -> tuple[int, str | None]:
+    """Close every criterion-cyclic grid word of length <= MAX_GRID_LEN; return
+    how many were closed and the first whose closure falls short (None if none)."""
     checked = 0
-    for length in range(1, max_len + 1):
+    for length in range(1, MAX_GRID_LEN + 1):
         for params in _grid_words(length):
             if criteria.is_cyclic(a1_word(params)).cyclic_guaranteed:
                 module = sl2.word_module((1, a) for a in params)
@@ -95,9 +103,9 @@ def rank1_cyclicity_grid(max_len: int = 3) -> tuple[int, str | None]:
     return checked, None
 
 
-def check_rank1_cyclicity_grid(max_len: int = 3) -> tuple[str, bool, str]:
-    checked, failure = rank1_cyclicity_grid(max_len)
-    detail = failure or f"{checked} cyclic words, length <= {max_len}"
+def check_rank1_cyclicity_grid() -> tuple[str, bool, str]:
+    checked, failure = rank1_cyclicity_grid()
+    detail = failure or f"{checked} cyclic words, length <= {MAX_GRID_LEN}"
     return "rank-1 cyclicity soundness", failure is None, detail
 
 
@@ -122,8 +130,8 @@ def _grid_words(length: int):
     return itertools.product(GRID, repeat=length)
 
 
-def random_tuple(rng: random.Random, lt: LieType, max_total_degree: int = 8) -> DrinfeldTuple:
-    total = rng.randint(1, max_total_degree)
+def random_tuple(rng: random.Random, lt: LieType) -> DrinfeldTuple:
+    total = rng.randint(1, MAX_TOTAL_DEGREE)
     buckets: list[list[CRational]] = [[] for _ in range(lt.rank)]
     for _ in range(total):
         node = rng.randint(1, lt.rank)
@@ -133,11 +141,11 @@ def random_tuple(rng: random.Random, lt: LieType, max_total_degree: int = 8) -> 
     return DrinfeldTuple(lt, tuple(MonicPoly(tuple(b)) for b in buckets))
 
 
-def check_factorization_cyclicity(per_family: int = 100, seed: int = 20260810) -> tuple[str, bool, str]:
-    rng = random.Random(seed)
+def check_factorization_cyclicity() -> tuple[str, bool, str]:
+    rng = random.Random(SEED)
     ranks = {"A": (1, MAX_RANK), "B": (2, MAX_RANK), "C": (2, MAX_RANK), "D": (3, MAX_RANK)}
     for family, (lo, hi) in ranks.items():
-        for _ in range(per_family):
+        for _ in range(PER_FAMILY):
             lt = LieType(family, rng.randint(lo, hi))
             t = random_tuple(rng, lt)
             word = criteria.weyl_factorize(t)
@@ -148,7 +156,7 @@ def check_factorization_cyclicity(per_family: int = 100, seed: int = 20260810) -
                     False,
                     f"{lt}: factorized word violates at {report.violations[0]}",
                 )
-    return "factorization always cyclic", True, f"{per_family} random tuples per family"
+    return "factorization always cyclic", True, f"{PER_FAMILY} random tuples per family"
 
 
 ALL_CHECKS = (

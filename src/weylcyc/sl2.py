@@ -162,7 +162,6 @@ class Sl2Module:
     xm: ExactMatrix
     h0: ExactMatrix
     hbar1: ExactMatrix
-    basis_labels: tuple[str, ...]
     top_index: int
 
     @property
@@ -173,8 +172,6 @@ class Sl2Module:
         n = self.xp.n
         if not (self.xm.n == self.h0.n == self.hbar1.n == n):
             raise ValueError("operator dimensions disagree")
-        if len(self.basis_labels) != n:
-            raise ValueError("basis labels must match the dimension")
         if not 0 <= self.top_index < n:
             raise ValueError("top index out of range")
 
@@ -221,7 +218,6 @@ def irrep_Wm(m: int, a) -> Sl2Module:
             - CRational(Fraction((2 * s - m) ** 2, 2))
             for s in range(n)
         ),
-        basis_labels=tuple(f"w{s}" for s in range(n)),
         top_index=m,
     )
 
@@ -241,9 +237,6 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
         hbar1=kron(m1.hbar1, i2)
         + kron(i1, m2.hbar1)
         - kron(m1.xm, m2.xp).scale(2),
-        basis_labels=tuple(
-            f"{a}(x){b}" for a in m1.basis_labels for b in m2.basis_labels
-        ),
         top_index=m1.top_index * m2.dim + m2.top_index,
     )
 
@@ -474,7 +467,6 @@ def apply_shift(module: Sl2Module, c) -> Sl2Module:
         xm=module.xm,
         h0=module.h0,
         hbar1=module.hbar1 + module.h0.scale(c),
-        basis_labels=module.basis_labels,
         top_index=module.top_index,
     )
 

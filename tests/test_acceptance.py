@@ -20,7 +20,6 @@ from weylcyc import (
     apply_shift,
     burnside_dim,
     cartan_data,
-    derive_s_from_t,
     hw_closure,
     irrep_Wm,
     is_cyclic,
@@ -31,13 +30,14 @@ from weylcyc import (
     s_set,
     shift_word,
     tensor,
-    weyl_factorize,
 )
 from weylcyc.selftest import (
     a1_word,
+    check_factorization_cyclicity,
     check_rank1_irreducibility_grid,
+    check_t_to_s,
+    check_type_a_symmetries,
     rank1_cyclicity_grid,
-    random_tuple,
 )
 
 from test_sl2 import expected_modes, unit
@@ -116,7 +116,7 @@ def test_criterion_02_corollary_identities():
 
 def test_criterion_03_cyclicity_soundness():
     with criterion(3, "criterion-cyclic grid words have full closure, length <= 3", 60):
-        checked, failure = rank1_cyclicity_grid(3)
+        checked, failure = rank1_cyclicity_grid()
         assert failure is None, failure
         assert checked > 500
 
@@ -148,14 +148,8 @@ def test_criterion_06_local_weyl_dimension():
 
 def test_criterion_07_t_to_s_derivation():
     with criterion(7, "derived S-sets equal tabulated S-sets for C2..C8", 1):
-        for l in range(2, 9):
-            data = cartan_data(LieType("C", l))
-            for bm in range(1, l + 1):
-                for bn in range(1, l + 1):
-                    assert (
-                        derive_s_from_t(data, bm, bn).values
-                        == s_set(data, bm, bn).values
-                    ), (l, bm, bn)
+        _, ok, detail = check_t_to_s()
+        assert ok, detail
 
 
 def test_criterion_08_s_set_spot_checks():
@@ -180,13 +174,8 @@ def test_criterion_08_s_set_spot_checks():
 
 def test_criterion_09_type_a_symmetries():
     with criterion(9, "type A S-set swap and duality symmetries, ranks <= 8"):
-        for l in range(1, 9):
-            data = cartan_data(LieType("A", l))
-            for bm in range(1, l + 1):
-                for bn in range(1, l + 1):
-                    s = s_set(data, bm, bn).values
-                    assert s == s_set(data, bn, bm).values
-                    assert s == s_set(data, l - bn + 1, l - bm + 1).values
+        _, ok, detail = check_type_a_symmetries()
+        assert ok, detail
 
 
 def test_criterion_10_mu_series_coefficients():
@@ -246,15 +235,9 @@ def test_criterion_12_coassociativity():
 
 
 def test_criterion_13_factorization_always_cyclic():
-    rng = random.Random(113)
     with criterion(13, "ordered factorization passes the cyclicity criterion"):
-        ranks = {"A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (3, 8)}
-        for family, (lo, hi) in ranks.items():
-            for _ in range(100):
-                lt = LieType(family, rng.randint(lo, hi))
-                t = random_tuple(rng, lt, max_total_degree=8)
-                report = is_cyclic(weyl_factorize(t))
-                assert report.cyclic_guaranteed, (lt, t)
+        _, ok, detail = check_factorization_cyclicity()
+        assert ok, detail
 
 
 def test_criterion_14_local_weyl_string_of_eight():

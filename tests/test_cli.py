@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from weylcyc import sl2
+from weylcyc import selftest, sl2
 from weylcyc.cli import MAX_FACTORIZE_ROOTS, MAX_ORACLE_FACTORS, MAX_RANK, main
+
+from test_readme import EXAMPLES
 
 WORD_01 = '{"type":"A1","factors":[{"node":1,"a":"0"},{"node":1,"a":"1"}]}'
 WORD_10 = '{"type":"A1","factors":[{"node":1,"a":"1"},{"node":1,"a":"0"}]}'
@@ -73,6 +75,8 @@ def test_check_assert_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "check", "--word", WORD_10, "--assert")
     assert code == 0
+    code, _, _ = run(capsys, "check", "--word", WORD_01, "--irreducible", "--assert")
+    assert code == 2
 
 
 def test_check_bad_json_exit_one(capsys):
@@ -134,6 +138,20 @@ def test_json_number_is_not_a_parameter(capsys, argv, field):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert f"{field} must be a string" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # an Arabic-Indic three and one half
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"\u0663"}]}'], "factor 'a'"),
+        (["factorize", "--tuple", '{"type":"A1","polys":[["\u0661/\u0662"]]}'], "'polys' root"),
+    ],
+)
+def test_non_ascii_digit_exit_one(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"{field}: cannot parse" in err
 
 
 def test_dual_reports_kappa(capsys):
@@ -298,10 +316,15 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_pretty_rendering(capsys):
-    code, out, _ = run(capsys, "check", "--word", WORD_01, "--pretty")
-    assert code == 0
-    assert "cyclic guaranteed: False" in out
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in EXAMPLES], ids=[" ".join(a[:2]) for a, _ in EXAMPLES]
+)
+def test_pretty_rendering(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    pretty_code, pretty_out, _ = run(capsys, *argv, "--pretty")
+    assert pretty_code == code
+    assert json.loads(pretty_out) == json.loads(out)
+    assert pretty_out.startswith("{\n  ")
 
 
 def test_usage_error_exit_one(capsys):
@@ -313,5 +336,21 @@ def test_usage_error_exit_one(capsys):
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "all checks passed" in out
-    assert out.count("PASS") == 6
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert len(report["checks"]) == 6
+    assert all(check["passed"] for check in report["checks"])
+
+
+def test_selftest_failure_exit_two(capsys, monkeypatch):
+    checks = (lambda: ("good", True, "ok"), lambda: ("bad", False, "broken at (1,2)"))
+    monkeypatch.setattr(selftest, "ALL_CHECKS", checks)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 2
+    assert json.loads(out) == {
+        "checks": [
+            {"name": "good", "passed": True, "detail": "ok"},
+            {"name": "bad", "passed": False, "detail": "broken at (1,2)"},
+        ],
+        "passed": False,
+    }

@@ -283,6 +283,17 @@ def through_json(data):
 zero_denominators = st.sampled_from(["1/0", "-3/0", "0/0", "1+1/0i", "1/0-2i", "0-5/0i"])
 
 
+@st.composite
+def non_ascii_digits(draw):
+    """A parameter string with one digit written in the decimal digits of
+    another script (Arabic-Indic, Devanagari, fullwidth), which Fraction()
+    reads as the ASCII digit."""
+    text = str(draw(params))
+    i = draw(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]))
+    zero = draw(st.sampled_from([0x660, 0x966, 0xFF10]))
+    return text[:i] + chr(zero + int(text[i])) + text[i + 1 :]
+
+
 def non_canonical_key(node):
     """Spellings that int() reads as node but that are not str(node)."""
     text = str(node)
@@ -322,6 +333,7 @@ class TestCodecProperties:
             ("a", data.draw(st.integers()), "'a' must be a string"),
             ("a", data.draw(st.floats()), "'a' must be a string"),
             ("a", data.draw(zero_denominators), "'a': zero denominator"),
+            ("a", data.draw(non_ascii_digits()), "'a': cannot parse"),
         ]:
             bad = word_to_dict(word)
             bad["factors"][i][field] = value
@@ -341,6 +353,7 @@ class TestCodecProperties:
             (data.draw(st.integers()), "'polys' root must be a string"),
             (data.draw(st.floats()), "'polys' root must be a string"),
             (data.draw(zero_denominators), "'polys' root: zero denominator"),
+            (data.draw(non_ascii_digits()), "'polys' root: cannot parse"),
         ]:
             bad = tuple_to_dict(tup)
             bad["polys"][node].insert(data.draw(st.integers(0, len(bad["polys"][node]))), value)

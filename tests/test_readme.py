@@ -1,6 +1,7 @@
 """README's examples, run as written: each command of the "Command line"
-block exits 0 and prints what the block shows under it, and the values the
-Python snippet claims in its comments are the values it computes."""
+block exits 0, prints one JSON report and, where the block shows one under
+it, that report; and the values the Python snippet claims in its comments
+are the values it computes."""
 
 import json
 import re
@@ -46,12 +47,13 @@ def test_block_has_every_command():
 def test_command_line_example(capsys, argv, shown):
     assert main(argv) == 0
     out = capsys.readouterr().out
+    report = json.loads(out)
+    assert isinstance(report, dict)
     if shown is None:
         return
     if shown.endswith(", ...}"):
         # a shown subset of the report's keys
         expected = json.loads(shown[: -len(", ...}")] + "}")
-        report = json.loads(out)
         assert {key: report[key] for key in expected} == expected
     else:
         assert out == shown + "\n"

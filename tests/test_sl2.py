@@ -334,7 +334,7 @@ class TestIrrep:
         assert m.h0 == ExactMatrix.from_rows([[-1, 0], [0, 1]])
         # x0- sends w1 to w0
         assert m.xm.apply(unit(2, 1)) == unit(2, 0)
-        assert m.top_index == 1 and m.basis_labels == ("w0", "w1")
+        assert m.top_index == 1
 
     def test_w1_hbar1_top_eigenvalue(self):
         a = cr(Fraction(2, 7))
@@ -423,7 +423,6 @@ class TestRelations:
             xm=m.xm,
             h0=m.h0,
             hbar1=ExactMatrix.from_rows(rows),
-            basis_labels=m.basis_labels,
             top_index=m.top_index,
         )
         assert check_relations(bad, 2) != []
@@ -434,7 +433,6 @@ class TestTensor:
         prod = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))
         assert prod.dim == 4
         assert prod.top_index == 3
-        assert prod.basis_labels[3] == "w1(x)w1"
 
     def test_coassociativity(self):
         rng = random.Random(31)
@@ -492,7 +490,6 @@ def direct_sum(m1, m2):
 
     return Sl2Module(
         *(block(getattr(m1, g), getattr(m2, g)) for g in ("xp", "xm", "h0", "hbar1")),
-        basis_labels=tuple(f"x{s}" for s in range(m1.dim)) + tuple(f"y{s}" for s in range(m2.dim)),
         top_index=m1.top_index,
     )
 
@@ -503,7 +500,6 @@ def rebased(module, p, p_inv, top_index):
     assert p @ p_inv == ExactMatrix.identity(module.dim)
     return Sl2Module(
         *(p_inv @ getattr(module, g) @ p for g in ("xp", "xm", "h0", "hbar1")),
-        basis_labels=tuple(f"b{s}" for s in range(module.dim)),
         top_index=top_index,
     )
 
@@ -773,9 +769,7 @@ def hand_built_modules(draw, diagonal_h0):
         h0 = ExactMatrix.from_rows(draw(matrices))
         assume(any(j != i for i, row in enumerate(h0.rows) for j, _ in row))
     xp, xm, hbar1 = (ExactMatrix.from_rows(draw(matrices)) for _ in range(3))
-    return Sl2Module(
-        xp, xm, h0, hbar1, tuple(f"e{i}" for i in range(n)), draw(st.integers(0, n - 1))
-    )
+    return Sl2Module(xp, xm, h0, hbar1, draw(st.integers(0, n - 1)))
 
 
 class TestWeightBlocksOnHandBuiltModules:
