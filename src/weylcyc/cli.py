@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import criteria, selftest, sl2, weyl_dims
@@ -32,8 +33,10 @@ from .rootsys import LieType, cartan_data
 # (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
-# The Cartan data of rank l costs about l^3.6; at rank 64 the slowest command
-# (B, C and D types) took under 5 s, at rank 80 up to 12 s (README, Notes).
+# The Cartan matrix has l^2 entries and the longest word of types B, C and D
+# about l^2 letters, so an unbounded rank exhausts memory.  At rank 64 every
+# command takes under 0.1 s, and at rank 1024 about 0.2 s; 64 is the rank the
+# tests cover (README, Notes).
 MAX_RANK = 64
 
 
@@ -167,6 +170,14 @@ def _cmd_dims(args) -> tuple[dict, int]:
     else:
         table = weyl_dims.builtin_table(t.type)
     dim = weyl_dims.dim_local_weyl(t, table)
+    try:
+        str(dim)  # Python refuses more than sys.get_int_max_str_digits() digits
+    except ValueError:
+        bits = dim.bit_length()
+        raise ValueError(
+            f"the dimension has about {int(bits * math.log10(2)) + 1} decimal digits"
+            f" ({bits} bits), too many to print"
+        ) from None
     report = {
         "tuple": tuple_to_dict(t),
         "weyl_dim": dim,
@@ -266,10 +277,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = args.func(args)
+        text = json.dumps(report, sort_keys=True, indent=2 if args.pretty else None)
     except (ValueError, KeyError, ArithmeticError, RuntimeError) as exc:
         print(f"weylcyc: error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, sort_keys=True, indent=2 if args.pretty else None))
+    print(text)
     return code
 
 

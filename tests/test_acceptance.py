@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from weylcyc import (
     CRational,
-    DrinfeldTuple,
     FundamentalFactor,
     LieType,
     MonicPoly,

@@ -220,6 +220,28 @@ def test_dims_missing_table_exit_one(capsys):
     assert code == 1 and "table" in err
 
 
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        # (10^9)^500 = 10^4500, past the 4300 digits Python prints by default
+        (
+            [
+                "--tuple", json.dumps({"type": "A1", "polys": [["0"] * 500]}),
+                "--table", '{"type":"A1","dims":{"1":1000000000}}',
+            ],
+            4501,
+        ),
+        # 3^20000 from the built-in A2 table
+        (["--tuple", json.dumps({"type": "A2", "polys": [["0"] * 10000, ["1"] * 10000]})], 9543),
+    ],
+    ids=["user-table", "builtin"],
+)
+def test_dims_too_long_to_print_exit_one(capsys, argv, digits):
+    code, out, err = run(capsys, "dims", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("weylcyc: error: ") and f"about {digits} decimal digits" in err
+
+
 def test_sl2_oracle_agreement(capsys):
     code, out, _ = run(capsys, "sl2-oracle", "--word", WORD_01, "--assert")
     assert code == 0
@@ -269,8 +291,8 @@ TABLE_OVER = json.dumps({"type": f"C{OVER}", "dims": {}})
 @pytest.mark.parametrize(
     "argv, rank",
     [
-        # without the cap these two ran for minutes (the Cartan data of rank l
-        # costs about l^3.6)
+        # without the cap the first would exhaust memory on the l^2 entries of
+        # the Cartan matrix
         (["sets", "--type", "A100000", "--bm", "1", "--bn", "2"], 100000),
         (["check", "--word", word_of_rank("D", 1000)], 1000),
         (["dual", "--word", word_of_rank("B", OVER)], OVER),
@@ -291,6 +313,11 @@ def test_rank_cap_admits_max_rank(capsys):
     tup = tuple_of_rank("A", MAX_RANK)
     assert run(capsys, "dims", "--tuple", tup)[0] == 0
     assert run(capsys, "factorize", "--tuple", tup)[0] == 0
+    for family in "BCD":
+        word = word_of_rank(family, MAX_RANK)
+        assert run(capsys, "sets", "--type", f"{family}{MAX_RANK}", "--bm", "1", "--bn", "2")[0] == 0
+        assert run(capsys, "check", "--word", word)[0] == 0
+        assert run(capsys, "dual", "--word", word)[0] == 0
 
 
 def test_library_runtime_error_exit_one(capsys, monkeypatch):

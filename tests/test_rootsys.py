@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -16,6 +17,75 @@ def all_types(max_rank=8):
     for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for l in range(lo, max_rank + 1):
             yield LieType(family, l)
+
+
+# Reference oracle: the root-system derivation of kappa, the -w0 involution
+# and the number of positive roots, against which rootsys's closed forms are
+# checked.
+
+
+def positive_roots(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """All positive roots in simple-root coordinates, by root-string closure.
+
+    Builds height level by height level: beta + alpha_i is a root iff
+    p = q - <beta, alpha_i^v> >= 1, where q is the depth of the alpha_i-string
+    through beta.
+    """
+    l = len(matrix)
+    roots: set[tuple[int, ...]] = set()
+    level = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
+    roots.update(level)
+    while level:
+        nxt = []
+        for beta in level:
+            for i in range(l):
+                pairing = sum(matrix[i][j] * beta[j] for j in range(l))
+                q = 0
+                down = list(beta)
+                down[i] -= 1
+                while tuple(down) in roots:
+                    q += 1
+                    down[i] -= 1
+                if q - pairing >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in roots:
+                        roots.add(t)
+                        nxt.append(t)
+        level = nxt
+    return sorted(roots, key=lambda c: (sum(c), c))
+
+
+def reference_kappa(lt: LieType) -> Fraction:
+    """Half of one plus the sum of the comarks c_i d_i / d_theta of the highest
+    root theta = sum c_i alpha_i, with d_theta = (theta, theta)/2."""
+    d = cartan_data(lt)
+    roots = positive_roots(d.matrix)
+    top_height = max(sum(c) for c in roots)
+    top = [c for c in roots if sum(c) == top_height]
+    assert len(top) == 1, f"highest root of {lt} is not unique"
+    theta = top[0]
+    l = lt.rank
+    # (alpha_i, alpha_j) = d_i * a_ij
+    d_theta = Fraction(
+        sum(d.d[i] * d.matrix[i][j] * theta[i] * theta[j] for i in range(l) for j in range(l)), 2
+    )
+    return (1 + sum(Fraction(ci * di) / d_theta for ci, di in zip(theta, d.d))) / 2
+
+
+def reference_involution(lt: LieType) -> tuple[int, ...]:
+    """sigma read off -w0(alpha_i) = alpha_sigma(i), with w0 the longest word
+    and alpha_j the j-th column of the Cartan matrix in the weight basis."""
+    d = cartan_data(lt)
+    l = lt.rank
+    alphas = [WeightVector(tuple(d.matrix[i][j] for i in range(l))) for j in range(l)]
+    sigma = []
+    for alpha in alphas:
+        image = -weyl_apply(d, d.longest_word, alpha)
+        assert image in alphas, (lt, alpha, image)
+        sigma.append(alphas.index(image) + 1)
+    return tuple(sigma)
 
 
 def test_type_parsing():
@@ -41,13 +111,13 @@ def test_rank_one_data():
     assert d.d == (1,)
     assert d.longest_word == (1,)
     assert d.involution == (1,)
-    assert d.num_positive_roots == 1
+    assert len(positive_roots(d.matrix)) == 1
 
 
 def test_c2_data():
     d = cartan_data(LieType("C", 2))
     assert d.d == (1, 2)
-    assert d.num_positive_roots == 4
+    assert len(positive_roots(d.matrix)) == 4
     assert d.longest_word == (2, 1, 2, 1)
 
 
@@ -97,25 +167,16 @@ def test_weyl_apply_rejects_bad_index():
 def test_kappa_values():
     assert kappa(LieType("A", 1)) == 1
     assert kappa(LieType("A", 2)) == Fraction(3, 2)
+    assert kappa(LieType("C", 2)) == Fraction(3, 2)
     assert kappa(LieType("B", 3)) == Fraction(5, 2)
-    # closed forms for every family
-    for lt in all_types():
-        l = lt.rank
-        expected = {
-            "A": Fraction(l + 1, 2),
-            "B": Fraction(2 * l - 1, 2),
-            "C": Fraction(l + 1, 2),
-            "D": Fraction(l - 1),
-        }[lt.family]
-        assert kappa(lt) == expected, lt
+    for lt in all_types(12):
+        assert kappa(lt) == cartan_data(lt).kappa == reference_kappa(lt), lt
 
 
 def test_longest_word_lengths():
-    for lt in all_types():
-        l = lt.rank
-        expected = {"A": l * (l + 1) // 2, "B": l * l, "C": l * l, "D": l * (l - 1)}[lt.family]
+    for lt in all_types(12):
         d = cartan_data(lt)
-        assert len(d.longest_word) == expected == d.num_positive_roots
+        assert len(d.longest_word) == len(positive_roots(d.matrix)), lt
 
 
 def test_longest_word_negates_fundamental_weights():
@@ -139,16 +200,9 @@ def test_symmetrized_cartan_and_coprimality():
 
 
 def test_involution_pattern():
-    for lt in all_types():
-        d = cartan_data(lt)
-        l = lt.rank
-        inv = d.involution
-        assert tuple(inv[inv[i - 1] - 1] for i in range(1, l + 1)) == tuple(range(1, l + 1))
-        if lt.family == "A":
-            assert inv == tuple(l + 1 - i for i in range(1, l + 1))
-        elif lt.family in ("B", "C") or l % 2 == 0:
-            assert inv == tuple(range(1, l + 1))
-        else:
-            expected = list(range(1, l + 1))
-            expected[l - 2], expected[l - 1] = l, l - 1
-            assert inv == tuple(expected)
+    assert cartan_data(LieType("D", 4)).involution == (1, 2, 3, 4)
+    assert cartan_data(LieType("D", 5)).involution == (1, 2, 3, 5, 4)
+    for lt in all_types(12):
+        inv = cartan_data(lt).involution
+        assert tuple(inv[inv[i] - 1] for i in range(lt.rank)) == tuple(range(1, lt.rank + 1))
+        assert inv == reference_involution(lt), lt

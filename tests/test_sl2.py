@@ -22,7 +22,7 @@ from weylcyc import (
 )
 from weylcyc import echelon, sl2
 from weylcyc.echelon import GaussianInt, saturate
-from weylcyc.sl2 import Sl2Module, _algebra_rank, _split, commutator, kron
+from weylcyc.sl2 import Sl2Module, _algebra_rank, _split, kron
 
 
 def cr(re, im=0):
