@@ -51,6 +51,13 @@ def _load_json(text: str, what: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed {what} JSON: {exc}") from None
+    except ValueError:
+        # json reads an integer through int(), which refuses more digits
+        # than sys.get_int_max_str_digits()
+        raise ValueError(
+            f"{what} JSON holds an integer too long to read"
+            f" (more than {sys.get_int_max_str_digits()} digits)"
+        ) from None
 
 
 def _check_rank(lt: LieType) -> LieType:
@@ -125,8 +132,8 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 _KAPPA_NOTE = (
-    "kappa uses the computed half dual Coxeter number; its overall"
-    " normalization is informational only"
+    "kappa is half the dual Coxeter number (closed form); its normalization"
+    " is informational only"
 )
 
 

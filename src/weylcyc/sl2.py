@@ -14,19 +14,21 @@ first tries to prove irreducibility with two closures of dimension dim, of
 the top vector and of the top coordinate functional under the transposed
 generators, and saturates the algebra in dimension dim^2 only when that
 fails, one column class A E_nu per weight nu of h0.  Every saturation is
-graded by the weight spaces of h0: each generator is cut once into its
-pieces E_mu' g E_nu between weight spaces, and a vector is only reduced
-against the rows of its own weight space.  Saturation clears the
-denominators of each generator and runs fraction-free elimination on
-Gaussian integers held as pairs of Python ints, so no rational arithmetic is
-done in it; the echelon form and the saturation loop are in `echelon`.
+graded by the weight spaces of h0: each generator is lifted and cut into its
+pieces E_mu' g E_nu between weight spaces once per module, and a vector is
+only reduced against the rows of its own weight space.  The closure of the
+top vector is also made once per module, and `hw_closure` and `burnside_dim`
+share it.  Saturation clears the denominators of each generator and runs
+fraction-free elimination on Gaussian integers held as pairs of Python ints,
+so no rational arithmetic is done in it; the echelon form and the saturation
+loop are in `echelon`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .drinfeld import ONE, ZERO, CRational
@@ -38,6 +40,14 @@ Row = tuple[tuple[int, CRational], ...]
 
 def _exact(x) -> CRational:
     return x if type(x) is CRational else CRational(x)
+
+
+def _minus_twice(x: CRational, y: CRational) -> CRational:
+    """-2 x y, with a single Fraction product when x and y are real, as the
+    entries of x0^± are."""
+    if x.im or y.im:
+        return x * y * -2
+    return CRational(-2 * (x.re * y.re), x.im)
 
 
 def _collect(pairs: Iterable[tuple[int, CRational]]) -> Row:
@@ -126,25 +136,6 @@ class ExactMatrix:
         return dict(self.rows[i]).get(j, ZERO)
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; the left factor index varies slowest.
-
-    Products with the shared ONE (the entries of `identity`) are skipped.
-    """
-    nb = b.n
-    return ExactMatrix(
-        tuple(
-            tuple(
-                (j1 * nb + j2, x if y is ONE else y if x is ONE else x * y)
-                for j1, x in ra
-                for j2, y in rb
-            )
-            for ra in a.rows
-            for rb in b.rows
-        )
-    )
-
-
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
 
@@ -156,6 +147,11 @@ class Sl2Module:
     top_index points at the designated highest-weight candidate in the basis;
     for irreducibles it is the genuine top vector, for tensor products it is
     the product of the factors' tops.
+
+    The module is immutable, so the generators lifted over `GaussianInt` and
+    cut between weight spaces, and the closure of the top vector, are made
+    at most once per module and kept with it.  They are not fields: equality
+    and hashing see only the generators and top_index.
     """
 
     xp: ExactMatrix
@@ -174,6 +170,17 @@ class Sl2Module:
             raise ValueError("operator dimensions disagree")
         if not 0 <= self.top_index < n:
             raise ValueError("top index out of range")
+
+    @cached_property
+    def _weight_split(self) -> Split:
+        return _split(self, GaussianInt)
+
+    @cached_property
+    def _top_closure(self) -> list[GaussianInt]:
+        """Echelon forms, weight block by block, of the closure of the top
+        vector; read only."""
+        split = self._weight_split
+        return split.closure(split.pieces, self.top_index)
 
 
 @dataclass(frozen=True)
@@ -206,20 +213,45 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     a = _exact(a)
-    n = m + 1
+    weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
     return Sl2Module(
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
         xp=ExactMatrix(((),) + tuple(((s, CRational(s + 1)),) for s in range(m))),
         xm=ExactMatrix(tuple(((s + 1, CRational(m - s)),) for s in range(m)) + ((),)),
-        h0=_diagonal(CRational(2 * s - m) for s in range(n)),
+        h0=_diagonal(map(CRational, weights)),
+        # the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
+        # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
         hbar1=_diagonal(
-            (a + (s - 1)) * (s * (m - s + 1))
-            - (a + s) * ((s + 1) * (m - s))
-            - CRational(Fraction((2 * s - m) ** 2, 2))
-            for s in range(n)
+            CRational(w * a.re + Fraction(2 * s * (3 * s - 2 * m - 1) - w * w, 2), w * a.im)
+            for s, w in enumerate(weights)
         ),
         top_index=m,
     )
+
+
+def _coproduct(
+    a: ExactMatrix, b: ExactMatrix, cross: tuple[ExactMatrix, ExactMatrix] | None = None
+) -> ExactMatrix:
+    """a x 1 + 1 x b, less 2 c x d when cross = (c, d), built row by row.
+
+    Row (i1, i2) of the combined basis, left index slowest, is
+    a[i1] x e_i2 + e_i1 x b[i2] (- 2 c[i1] x d[i2]).
+    """
+    nb = b.n
+    rows = []
+    for i1, ra in enumerate(a.rows):
+        base = i1 * nb
+        for i2, rb in enumerate(b.rows):
+            pairs = [(j1 * nb + i2, x) for j1, x in ra]
+            pairs += [(base + j2, y) for j2, y in rb]
+            if cross is not None:
+                pairs += [
+                    (j1 * nb + j2, _minus_twice(x, y))
+                    for j1, x in cross[0].rows[i1]
+                    for j2, y in cross[1].rows[i2]
+                ]
+            rows.append(_collect(pairs))
+    return ExactMatrix(tuple(rows))
 
 
 def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
@@ -227,16 +259,13 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
 
     x0^±, h0 act as op x 1 + 1 x op; hbar1 picks up the correction
     -2 x0^- x x0^+.  The combined basis orders the left index slowest, and the
-    top is the product of tops.
+    top is the product of tops.  Each generator is built in one pass.
     """
-    i1, i2 = ExactMatrix.identity(m1.dim), ExactMatrix.identity(m2.dim)
     return Sl2Module(
-        xp=kron(m1.xp, i2) + kron(i1, m2.xp),
-        xm=kron(m1.xm, i2) + kron(i1, m2.xm),
-        h0=kron(m1.h0, i2) + kron(i1, m2.h0),
-        hbar1=kron(m1.hbar1, i2)
-        + kron(i1, m2.hbar1)
-        - kron(m1.xm, m2.xp).scale(2),
+        xp=_coproduct(m1.xp, m2.xp),
+        xm=_coproduct(m1.xm, m2.xm),
+        h0=_coproduct(m1.h0, m2.h0),
+        hbar1=_coproduct(m1.hbar1, m2.hbar1, (m1.xm, m2.xp)),
         top_index=m1.top_index * m2.dim + m2.top_index,
     )
 
@@ -360,10 +389,10 @@ def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     closure is h0-invariant, hence the sum of its intersections with the
     weight spaces, and it is saturated weight space by weight space under the
     pieces E_mu' g E_nu of the generators; every vector it makes is a weight
-    vector.
+    vector.  The lifted generators and the closure are made once per module
+    and shared with `burnside_dim`.
     """
-    split = _split(module, GaussianInt)
-    echelons = split.closure(split.pieces, module.top_index)
+    split, echelons = module._weight_split, module._top_closure
     rows = [
         row
         for columns, echelon in zip(split.blocks, echelons)
@@ -406,17 +435,17 @@ def _algebra_rank(split: Split) -> int:
     return rank
 
 
-def _cocyclic(split: Split, top_index: int) -> bool:
+def _cocyclic(module: Sl2Module) -> bool:
     """The top vector generates the module, and the top coordinate functional
     generates its dual under the transposed generators."""
-    n = len(split.where)
-    if _rank(split.closure(split.pieces, top_index)) < n:
+    split, n = module._weight_split, module.dim
+    if _rank(module._top_closure) < n:
         return False
     transposed = [
         (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
         for source, target, op in split.pieces
     ]
-    return _rank(split.closure(transposed, top_index)) == n
+    return _rank(split.closure(transposed, module.top_index)) == n
 
 
 def burnside_dim(module: Sl2Module) -> int:
@@ -444,13 +473,14 @@ def burnside_dim(module: Sl2Module) -> int:
     exactly, one column class A E_nu per h0-weight nu (`_algebra_rank`), by
     fraction-free elimination over the Gaussian integers (`GaussianInt`),
     and its rank is returned.  The generators are lifted and cut into weight
-    pieces once, for the closures and the classes alike.
+    pieces once per module, for the closures and the classes alike, and
+    closure (a) is the one `hw_closure` makes, also once per module.
     """
-    split = _split(module, GaussianInt)
+    split = module._weight_split
     # the top vector spans its block iff the guard holds: a non-diagonal h0
     # gives one block of size dim > 1
     top_block = split.blocks[split.where[module.top_index][0]]
-    if len(top_block) == 1 and _cocyclic(split, module.top_index):
+    if len(top_block) == 1 and _cocyclic(module):
         return module.dim * module.dim
     return _algebra_rank(split)
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -164,7 +165,10 @@ def test_dual_reports_kappa(capsys):
         {"node": 1, "a": "-1/2"},
         {"node": 2, "a": "-3/2"},
     ]
-    assert "note" in report
+    assert report["note"] == (
+        "kappa is half the dual Coxeter number (closed form); its normalization"
+        " is informational only"
+    )
 
 
 def test_factorize_rank_one_verifies_closure(capsys):
@@ -240,6 +244,18 @@ def test_dims_too_long_to_print_exit_one(capsys, argv, digits):
     code, out, err = run(capsys, "dims", *argv)
     assert code == 1 and out == ""
     assert err.startswith("weylcyc: error: ") and f"about {digits} decimal digits" in err
+
+
+def test_dims_table_integer_too_long_to_read_exit_one(capsys):
+    # json reads integers through int(), which refuses more digits than
+    # sys.get_int_max_str_digits(), 4300 by default
+    limit = sys.get_int_max_str_digits()
+    table = '{"type":"A1","dims":{"1":1' + "0" * (limit + 100) + "}}"
+    code, out, err = run(capsys, "dims", "--tuple", '{"type":"A1","polys":[["0"]]}', "--table", table)
+    assert code == 1 and out == ""
+    assert err == (
+        f"weylcyc: error: table JSON holds an integer too long to read (more than {limit} digits)\n"
+    )
 
 
 def test_sl2_oracle_agreement(capsys):

@@ -20,9 +20,9 @@ from weylcyc import (
     tensor,
     word_module,
 )
-from weylcyc import echelon, sl2
+from weylcyc import echelon, selftest, sl2
 from weylcyc.echelon import GaussianInt, saturate
-from weylcyc.sl2 import Sl2Module, _algebra_rank, _split, kron
+from weylcyc.sl2 import Sl2Module, _algebra_rank, _split
 
 
 def cr(re, im=0):
@@ -94,6 +94,46 @@ def dense_matmul(a, b):
 
 def dense_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+# Reference for `tensor`: the coproduct built from Kronecker products and
+# identity matrices, with the ExactMatrix sums, difference and scaling, as
+# `tensor` built it before it built each generator in one pass.
+
+
+def kron(a, b):
+    """Kronecker product of sparse matrices; the left factor index varies slowest."""
+    nb = b.n
+    return ExactMatrix(
+        tuple(
+            tuple((j1 * nb + j2, x * y) for j1, x in ra for j2, y in rb)
+            for ra in a.rows
+            for rb in b.rows
+        )
+    )
+
+
+def reference_tensor(m1, m2):
+    i1, i2 = ExactMatrix.identity(m1.dim), ExactMatrix.identity(m2.dim)
+    return Sl2Module(
+        xp=kron(m1.xp, i2) + kron(i1, m2.xp),
+        xm=kron(m1.xm, i2) + kron(i1, m2.xm),
+        h0=kron(m1.h0, i2) + kron(i1, m2.h0),
+        hbar1=kron(m1.hbar1, i2) + kron(i1, m2.hbar1) - kron(m1.xm, m2.xp).scale(2),
+        top_index=m1.top_index * m2.dim + m2.top_index,
+    )
+
+
+def reference_hbar1_diagonal(m, a):
+    """The diagonal of hbar1 = h_1 - h_0^2/2 on W_m(a), chained from the
+    closed formulas for h_1 and h_0 as `irrep_Wm` evaluated it before it
+    used the form linear in a."""
+    return [
+        (a + (s - 1)) * (s * (m - s + 1))
+        - (a + s) * ((s + 1) * (m - s))
+        - CRational(Fraction((2 * s - m) ** 2, 2))
+        for s in range(m + 1)
+    ]
 
 
 def dense_apply(a, v):
@@ -792,6 +832,106 @@ class TestWeightBlocksOnHandBuiltModules:
         blocks = _split(module, GaussianInt).blocks
         weights = [module.h0.entry(i, i) for i in range(module.dim)]
         assert len(blocks) == (len(set(weights)) if diagonal_h0 else 1)
+
+
+# Gaussian-rational spectral parameters with nonzero imaginary parts allowed
+gaussian_params = st.builds(
+    CRational,
+    st.fractions(-6, 6, max_denominator=7),
+    st.fractions(-3, 3, max_denominator=5),
+)
+irreps = st.builds(irrep_Wm, st.integers(1, 3), gaussian_params)
+
+
+class TestOnePassBuild:
+    """`irrep_Wm` and `tensor` against the constructions they replaced."""
+
+    @given(m=st.integers(1, 6), a=gaussian_params)
+    @settings(max_examples=60, deadline=None)
+    def test_hbar1_closed_form_equals_chained_formula(self, m, a):
+        diagonal = reference_hbar1_diagonal(m, a)
+        expected = [[x if i == j else ZERO for j in range(m + 1)] for i, x in enumerate(diagonal)]
+        assert irrep_Wm(m, a).hbar1 == ExactMatrix.from_rows(expected)
+
+    @given(
+        left=st.one_of(
+            irreps,
+            # tensor products have a non-diagonal hbar1, and the hand-built
+            # modules a non-diagonal h0
+            st.builds(reference_tensor, irreps, irreps),
+            hand_built_modules(diagonal_h0=False),
+        ),
+        right=st.one_of(irreps, hand_built_modules(diagonal_h0=False)),
+    )
+    @example(
+        left=tensor(irrep_Wm(1, cr(Fraction(1, 3), 2)), irrep_Wm(2, cr(-1, Fraction(1, 5)))),
+        right=irrep_Wm(3, cr(Fraction(5, 2), -1)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tensor_equals_kron_reference(self, left, right):
+        assert tensor(left, right) == reference_tensor(left, right)
+
+
+# (factors, closure rank, algebra dimension), frozen: README's sl2-oracle
+# example and the local Weyl module of 0, 1 of its Python snippet, then the
+# rank-deficient words of TestBurnside, then an irreducible word
+FROZEN_ORACLE = [
+    (((1, 0), (1, 1)), 3, 13),
+    (((1, 1), (1, 0)), 4, 13),
+    (((1, 0), (1, 1), (1, Fraction(5, 2))), 6, 52),
+    (((1, Fraction(5, 2)), (1, 0), (1, 1)), 6, 52),
+    (((1, 0), (2, 1)), 4, 28),
+    (((1, 2), (1, 0), (1, -3)), 8, 64),
+]
+
+
+class TestSharedLiftAndClosure:
+    """A module keeps its lifted generators and its top-vector closure, and
+    `hw_closure` and `burnside_dim` share them: the results do not depend on
+    which runs first, or on whether the other ran at all."""
+
+    @staticmethod
+    def results_in_every_order(factors):
+        """(hw_closure, burnside_dim) of the word: each on a fresh module,
+        then both on one module, closure first, then both on another,
+        algebra first."""
+        def build():
+            return word_module([(m, cr(a)) for m, a in factors])
+
+        fresh = hw_closure(build()), burnside_dim(build())
+        closure_first = build()
+        closure_first_results = hw_closure(closure_first), burnside_dim(closure_first)
+        algebra_first = build()
+        algebra = burnside_dim(algebra_first)
+        return fresh, closure_first_results, (hw_closure(algebra_first), algebra)
+
+    @pytest.mark.parametrize("factors, closure, algebra", FROZEN_ORACLE)
+    def test_frozen_values_in_every_order(self, factors, closure, algebra):
+        fresh, *orders = self.results_in_every_order(factors)
+        assert fresh[0][0] == closure and fresh[1] == algebra
+        module = word_module([(m, cr(a)) for m, a in factors])
+        assert fresh[0] == reference_hw_closure(module)
+        assert all(results == fresh for results in orders)
+
+    def test_selftest_words_in_every_order(self):
+        for params in selftest._grid_words(2):
+            fresh, *orders = self.results_in_every_order([(1, a) for a in params])
+            assert all(results == fresh for results in orders), params
+
+    def test_closure_of_the_top_vector_runs_once(self, saturation_lengths):
+        module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))
+        assert hw_closure(module) == hw_closure(module)
+        assert burnside_dim(module) == 16
+        # closure (a) once, shared, and closure (b) once
+        assert saturation_lengths == [[1, 2, 1], [1, 2, 1]]
+
+    def test_equal_modules_stay_equal_after_closing(self):
+        closed, fresh = (word_module([(1, cr(0)), (1, cr(1))]) for _ in range(2))
+        hw_closure(closed)
+        burnside_dim(closed)
+        assert closed == fresh and hash(closed) == hash(fresh)
+        assert len({closed, fresh}) == 1
+        assert closed != word_module([(1, cr(1)), (1, cr(0))])
 
 
 class TestShift:
