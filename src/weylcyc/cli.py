@@ -33,10 +33,10 @@ from .rootsys import LieType, cartan_data
 # (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
-# The Cartan matrix has l^2 entries and the longest word of types B, C and D
-# about l^2 letters, so an unbounded rank exhausts memory.  At rank 64 every
-# command takes under 0.1 s, and at rank 1024 about 0.2 s; 64 is the rank the
-# tests cover (README, Notes).
+# The Cartan record is O(l), but `check` builds and caches, per node pair of
+# the word, an S-set of about l members: on a random 100-factor D-word,
+# `check --irreducible` took 0.7 s / 23 MB at rank 64, 5.4 s / 67 MB at 256
+# and 21 s / 268 MB at 1024.  64 is the rank the tests cover (README, Notes).
 MAX_RANK = 64
 
 

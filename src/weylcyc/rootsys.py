@@ -1,8 +1,10 @@
 """Static data for classical root systems.
 
-Cartan matrices, symmetrizers, the Weyl group action on the weight lattice,
-fixed reduced words for the longest element, the node involution induced by
--w0, and half the dual Coxeter number, each in closed form.
+The record `CartanData` holds what the criteria read about one type: the
+symmetrizers, half the dual Coxeter number and the node involution induced
+by -w0, each in closed form and O(l) in size.  The Cartan matrix, a fixed
+reduced word for the longest element and the Weyl group action on the weight
+lattice are computed on demand.
 
 Conventions: the Cartan matrix is a_ij = 2(alpha_i, alpha_j)/(alpha_i, alpha_i),
 so diag(d) * A is symmetric with the symmetrizers fixed below, and the simple
@@ -47,7 +49,13 @@ class LieType:
         digits = text[1:]
         if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
             raise ValueError(f"cannot parse rank in Lie type {text!r}")
-        return cls(text[0].upper(), int(digits))
+        try:
+            rank = int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(
+                f"the rank of Lie type {text[0]}... has {len(digits)} digits, too many to read"
+            ) from None
+        return cls(text[0].upper(), rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -72,18 +80,18 @@ def fundamental_weight(rank: int, i: int) -> WeightVector:
 
 @dataclass(frozen=True)
 class CartanData:
-    """Everything the cyclicity machinery needs about one classical type.
+    """What the criteria read about one classical type: the symmetrizers d,
+    kappa, and the involution mapping node i to -w0(alpha_i).
 
-    involution maps node i to -w0(alpha_i); longest_word is a fixed reduced
-    expression for w0, read left to right as a product of simple reflections.
+    The Cartan matrix and the reduced word for w0, of l^2 entries and about
+    l^2 letters, are not stored: `cartan_matrix` and `longest_word` compute
+    them on demand.
     """
 
     type: LieType
-    matrix: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
     kappa: Fraction
     involution: tuple[int, ...]
-    longest_word: tuple[int, ...]
 
 
 def cartan_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
@@ -156,17 +164,6 @@ def longest_word(lt: LieType) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _apply_word(matrix, word: Sequence[int], coords: Sequence[int]) -> tuple[int, ...]:
-    l = len(matrix)
-    v = list(coords)
-    for j in reversed(word):  # rightmost reflection acts first
-        c = v[j - 1]
-        if c:
-            for i in range(l):
-                v[i] -= c * matrix[i][j - 1]
-    return tuple(v)
-
-
 def involution(lt: LieType) -> tuple[int, ...]:
     """The node involution sigma with -w0(alpha_i) = alpha_sigma(i) (Bourbaki,
     Plates I-IV): the reversal in type A, the swap of the two fork nodes in
@@ -182,15 +179,8 @@ def involution(lt: LieType) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def cartan_data(lt: LieType) -> CartanData:
-    """Assemble the full Cartan record for one type."""
-    return CartanData(
-        type=lt,
-        matrix=cartan_matrix(lt),
-        d=symmetrizers(lt),
-        kappa=kappa(lt),
-        involution=involution(lt),
-        longest_word=longest_word(lt),
-    )
+    """Assemble the Cartan record for one type, in O(l) work."""
+    return CartanData(type=lt, d=symmetrizers(lt), kappa=kappa(lt), involution=involution(lt))
 
 
 def weyl_apply(data: CartanData, word: Sequence[int], w: WeightVector) -> WeightVector:
@@ -198,7 +188,8 @@ def weyl_apply(data: CartanData, word: Sequence[int], w: WeightVector) -> Weight
 
     The word is read as a product acting on the left, so the rightmost
     reflection acts first.  s_j sends w to w - w_j * alpha_j, with alpha_j
-    expanded in the fundamental-weight basis.
+    expanded in the fundamental-weight basis.  The Cartan matrix is built
+    from data.type for the call.
     """
     l = data.type.rank
     if len(w.coords) != l:
@@ -206,4 +197,11 @@ def weyl_apply(data: CartanData, word: Sequence[int], w: WeightVector) -> Weight
     for j in word:
         if not 1 <= j <= l:
             raise ValueError(f"reflection index {j} out of range 1..{l}")
-    return WeightVector(_apply_word(data.matrix, word, w.coords))
+    matrix = cartan_matrix(data.type)
+    v = list(w.coords)
+    for j in reversed(word):  # rightmost reflection acts first
+        c = v[j - 1]
+        if c:
+            for i in range(l):
+                v[i] -= c * matrix[i][j - 1]
+    return WeightVector(tuple(v))

@@ -72,7 +72,7 @@ def dim_local_weyl(t: DrinfeldTuple, table: FundamentalDimTable) -> int:
     for node, poly in enumerate(t.polys, start=1):
         if poly.degree:
             if node not in table.dims:
-                raise KeyError(f"dimension table has no entry for node {node}")
+                raise ValueError(f"dimension table has no entry for node {node}")
             out *= table.dims[node] ** poly.degree
     return out
 

@@ -224,6 +224,19 @@ def test_dims_missing_table_exit_one(capsys):
     assert code == 1 and "table" in err
 
 
+def test_dims_table_without_the_node_exit_one(capsys):
+    code, out, err = run(
+        capsys,
+        "dims",
+        "--tuple",
+        '{"type":"C3","polys":[["1"],[],[]]}',
+        "--table",
+        '{"type":"C3","dims":{"2":14}}',
+    )
+    assert code == 1 and out == ""
+    assert err == "weylcyc: error: dimension table has no entry for node 1\n"
+
+
 @pytest.mark.parametrize(
     "argv, digits",
     [
@@ -307,8 +320,8 @@ TABLE_OVER = json.dumps({"type": f"C{OVER}", "dims": {}})
 @pytest.mark.parametrize(
     "argv, rank",
     [
-        # without the cap the first would exhaust memory on the l^2 entries of
-        # the Cartan matrix
+        # without the cap `check` builds and caches, per node pair, S-sets of
+        # about l members: a 100-factor D1024 word took 21 s and 268 MB
         (["sets", "--type", "A100000", "--bm", "1", "--bn", "2"], 100000),
         (["check", "--word", word_of_rank("D", 1000)], 1000),
         (["dual", "--word", word_of_rank("B", OVER)], OVER),
@@ -323,6 +336,23 @@ def test_rank_over_the_cap_exit_one(capsys, argv, rank):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert f"rank at most {MAX_RANK}" in err and f"of rank {rank}" in err
+
+
+LONG_TYPE = "A" + "9" * 5000  # int() refuses more than 4300 digits by default
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sets", "--type", LONG_TYPE, "--bm", "1", "--bn", "1"],
+        ["check", "--word", json.dumps({"type": LONG_TYPE, "factors": [{"node": 1, "a": "0"}]})],
+    ],
+    ids=["sets", "check"],
+)
+def test_rank_too_long_to_read_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "has 5000 digits" in err and "set_int_max_str_digits" not in err
 
 
 def test_rank_cap_admits_max_rank(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 from typing import Sequence
 
@@ -11,6 +13,7 @@ from weylcyc import (
     kappa,
     weyl_apply,
 )
+from weylcyc.rootsys import cartan_matrix, longest_word
 
 
 def all_types(max_rank=8):
@@ -61,7 +64,8 @@ def reference_kappa(lt: LieType) -> Fraction:
     """Half of one plus the sum of the comarks c_i d_i / d_theta of the highest
     root theta = sum c_i alpha_i, with d_theta = (theta, theta)/2."""
     d = cartan_data(lt)
-    roots = positive_roots(d.matrix)
+    matrix = cartan_matrix(lt)
+    roots = positive_roots(matrix)
     top_height = max(sum(c) for c in roots)
     top = [c for c in roots if sum(c) == top_height]
     assert len(top) == 1, f"highest root of {lt} is not unique"
@@ -69,7 +73,7 @@ def reference_kappa(lt: LieType) -> Fraction:
     l = lt.rank
     # (alpha_i, alpha_j) = d_i * a_ij
     d_theta = Fraction(
-        sum(d.d[i] * d.matrix[i][j] * theta[i] * theta[j] for i in range(l) for j in range(l)), 2
+        sum(d.d[i] * matrix[i][j] * theta[i] * theta[j] for i in range(l) for j in range(l)), 2
     )
     return (1 + sum(Fraction(ci * di) / d_theta for ci, di in zip(theta, d.d))) / 2
 
@@ -78,11 +82,12 @@ def reference_involution(lt: LieType) -> tuple[int, ...]:
     """sigma read off -w0(alpha_i) = alpha_sigma(i), with w0 the longest word
     and alpha_j the j-th column of the Cartan matrix in the weight basis."""
     d = cartan_data(lt)
+    matrix = cartan_matrix(lt)
     l = lt.rank
-    alphas = [WeightVector(tuple(d.matrix[i][j] for i in range(l))) for j in range(l)]
+    alphas = [WeightVector(tuple(matrix[i][j] for i in range(l))) for j in range(l)]
     sigma = []
     for alpha in alphas:
-        image = -weyl_apply(d, d.longest_word, alpha)
+        image = -weyl_apply(d, longest_word(lt), alpha)
         assert image in alphas, (lt, alpha, image)
         sigma.append(alphas.index(image) + 1)
     return tuple(sigma)
@@ -105,31 +110,63 @@ def test_type_parsing():
         LieType("B", 1)
 
 
+def test_parse_rank_with_too_many_digits():
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    with pytest.raises(ValueError, match=r"rank of Lie type A\.\.\. has 5000 digits") as info:
+        LieType.parse("A" + "9" * 5000)
+    assert "set_int_max_str_digits" not in str(info.value)
+
+
+def test_record_holds_only_what_the_criteria_read():
+    assert [f.name for f in dataclasses.fields(cartan_data(LieType("A", 2)))] == [
+        "type", "d", "kappa", "involution"
+    ]
+
+
+def test_cartan_data_is_linear_in_the_rank():
+    # the record must not build the l^2-entry Cartan matrix or the w0 word of
+    # about l^2 letters
+    lt = LieType("D", 1024)
+    cartan_data.cache_clear()
+    kappa.cache_clear()
+    tracemalloc.start()
+    try:
+        d = cartan_data(lt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d.involution) == len(d.d) == 1024
+    assert peak < 1 << 20, peak
+
+
 def test_rank_one_data():
-    d = cartan_data(LieType("A", 1))
-    assert d.matrix == ((2,),)
+    lt = LieType("A", 1)
+    d = cartan_data(lt)
+    assert cartan_matrix(lt) == ((2,),)
     assert d.d == (1,)
-    assert d.longest_word == (1,)
+    assert longest_word(lt) == (1,)
     assert d.involution == (1,)
-    assert len(positive_roots(d.matrix)) == 1
+    assert len(positive_roots(cartan_matrix(lt))) == 1
 
 
 def test_c2_data():
-    d = cartan_data(LieType("C", 2))
+    lt = LieType("C", 2)
+    d = cartan_data(lt)
     assert d.d == (1, 2)
-    assert len(positive_roots(d.matrix)) == 4
-    assert d.longest_word == (2, 1, 2, 1)
+    assert len(positive_roots(cartan_matrix(lt))) == 4
+    assert longest_word(lt) == (2, 1, 2, 1)
 
 
 def test_a3_involution_against_reflection_matrices():
     # independent oracle: multiply explicit reflection matrices S_j = I - alpha_j e_j^T
     lt = LieType("A", 3)
     d = cartan_data(lt)
+    matrix = cartan_matrix(lt)
     l = lt.rank
 
     def reflection(j):
         return [
-            [(1 if i == k else 0) - (d.matrix[i][j - 1] if k == j - 1 else 0) for k in range(l)]
+            [(1 if i == k else 0) - (matrix[i][j - 1] if k == j - 1 else 0) for k in range(l)]
             for i in range(l)
         ]
 
@@ -137,7 +174,7 @@ def test_a3_involution_against_reflection_matrices():
         return [[sum(a[i][k] * b[k][j] for k in range(l)) for j in range(l)] for i in range(l)]
 
     w0 = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
-    for j in d.longest_word:
+    for j in longest_word(lt):
         w0 = matmul(w0, reflection(j))
     for i in range(1, l + 1):
         image = tuple(sum(w0[r][c] * fundamental_weight(l, i).coords[c] for c in range(l)) for r in range(l))
@@ -151,9 +188,9 @@ def test_weyl_apply_examples():
     assert weyl_apply(d1, (), w) == w
     assert weyl_apply(d1, (1,), w) == -w
 
-    dc = cartan_data(LieType("C", 2))
+    c2 = LieType("C", 2)
     omega1 = fundamental_weight(2, 1)
-    assert weyl_apply(dc, dc.longest_word, omega1) == -omega1
+    assert weyl_apply(cartan_data(c2), longest_word(c2), omega1) == -omega1
 
 
 def test_weyl_apply_rejects_bad_index():
@@ -175,15 +212,14 @@ def test_kappa_values():
 
 def test_longest_word_lengths():
     for lt in all_types(12):
-        d = cartan_data(lt)
-        assert len(d.longest_word) == len(positive_roots(d.matrix)), lt
+        assert len(longest_word(lt)) == len(positive_roots(cartan_matrix(lt))), lt
 
 
 def test_longest_word_negates_fundamental_weights():
     for lt in all_types():
         d = cartan_data(lt)
         for i in range(1, lt.rank + 1):
-            image = weyl_apply(d, d.longest_word, fundamental_weight(lt.rank, i))
+            image = weyl_apply(d, longest_word(lt), fundamental_weight(lt.rank, i))
             assert image == -fundamental_weight(lt.rank, d.involution[i - 1])
 
 
@@ -192,10 +228,11 @@ def test_symmetrized_cartan_and_coprimality():
 
     for lt in all_types():
         d = cartan_data(lt)
+        matrix = cartan_matrix(lt)
         l = lt.rank
         for i in range(l):
             for j in range(l):
-                assert d.d[i] * d.matrix[i][j] == d.d[j] * d.matrix[j][i]
+                assert d.d[i] * matrix[i][j] == d.d[j] * matrix[j][i]
         assert gcd(*d.d) == 1
 
 

@@ -56,7 +56,7 @@ def test_missing_entry_raises():
     lt = LieType("C", 3)
     table = FundamentalDimTable(lt, {1: 6}, "user")
     t = DrinfeldTuple(lt, (poly(0), poly(1), MonicPoly.one()))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no entry for node 2"):
         dim_local_weyl(t, table)
 
 
