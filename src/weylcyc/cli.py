@@ -62,9 +62,7 @@ def _load_json(text: str, what: str) -> dict:
 
 def _check_rank(lt: LieType) -> LieType:
     if lt.rank > MAX_RANK:
-        raise ValueError(
-            f"weylcyc takes Lie types of rank at most {MAX_RANK}, got {lt} of rank {lt.rank}"
-        )
+        raise ValueError(f"weylcyc takes Lie types of rank at most {MAX_RANK}, got {lt}")
     return lt
 
 

@@ -8,14 +8,18 @@ op to a vector, and field.unit builds a 0/1 seed vector.
 
 `saturate` closes the span of seeds under ops on a graded space: a direct
 sum of blocks, with vectors as (block, local vector) pairs, ops that each
-map one block into one block, and one echelon form per block.  The rank-1
-oracles take the blocks to be the weight spaces of h0.
+map one block into one block, and one echelon form per block.  `Split` cuts
+matrices into such ops and runs the oracles on them: the closure of a
+distinguished basis vector, the cocyclic test for a full algebra, and the
+algebra rank.  The rank-1 oracles take the blocks to be the weight spaces
+of h0.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -199,19 +203,27 @@ def saturate(field, sizes: Sequence[int], ops, seeds) -> list:
     return echelons
 
 
+def rank(echelons) -> int:
+    """Total rank of echelon forms, one per block."""
+    return sum(echelon.rank for echelon in echelons)
+
+
 class Split:
     """Square matrices lifted by a field and cut into their pieces between
-    blocks of basis indices: the piece of g from block nu to block mu' is
-    E_mu' g E_nu, where E_nu keeps the coordinates of block nu.
+    blocks of basis indices, with a distinguished basis index top: the
+    oracles' graded closures and algebra rank.
 
-    blocks[b] lists the basis indices of block b in increasing order, and
-    where[i] is the (block, local index) of basis index i.  pieces lists,
-    matrix by matrix, the (source block, target block, op) of each nonzero
-    piece, with op in local indices.
+    The piece of g from block nu to block mu' is E_mu' g E_nu, where E_nu
+    keeps the coordinates of block nu.  blocks[b] lists the basis indices of
+    block b in increasing order, and where[i] is the (block, local index) of
+    basis index i.  pieces lists, matrix by matrix, the (source block, target
+    block, op) of each nonzero piece, with op in local indices.  Every
+    closure and the algebra rank run under the pieces, so they see the
+    unital algebra A generated by the matrices and the projections E_nu.
     """
 
-    def __init__(self, field, mats, blocks: list[list[int]]):
-        self.field, self.blocks = field, blocks
+    def __init__(self, field, mats, blocks: list[list[int]], top: int):
+        self.field, self.blocks, self.top = field, blocks, top
         self.sizes = [len(block) for block in blocks]
         self.where = [(0, 0)] * sum(self.sizes)
         for b, block in enumerate(blocks):
@@ -231,12 +243,82 @@ class Split:
                     piece[p].append((li, lj, x))
             self.pieces += [(source, target, piece) for (source, target), piece in cut.items()]
 
-    def closure(self, pieces, index: int) -> list:
-        """Echelon forms, block by block, of the closure of basis vector
-        index under pieces, listed like self.pieces."""
+    def _closure(self, pieces) -> list:
+        """Echelon forms, block by block, of the closure of basis vector top
+        under pieces, listed like self.pieces."""
         ops = [[] for _ in self.blocks]
         for source, target, op in pieces:
             ops[source].append((target, op))
-        block, local = self.where[index]
+        block, local = self.where[self.top]
         seed = self.field.unit(self.sizes[block], [local])
         return saturate(self.field, self.sizes, ops, [(block, seed)])
+
+    @cached_property
+    def top_closure(self) -> list:
+        """Echelon forms, block by block, of A applied to basis vector top,
+        made once; read only."""
+        return self._closure(self.pieces)
+
+    def top_basis(self) -> list[list[CRational]]:
+        """The rows of top_closure divided by their leads, as dense vectors
+        of the whole space in increasing pivot order."""
+        length = len(self.where)
+        rows = [
+            row
+            for columns, echelon in zip(self.blocks, self.top_closure)
+            for row in echelon.normalized_rows(columns, length)
+        ]
+        rows.sort(key=lambda row: row[0])
+        return [v for _, v in rows]
+
+    def cocyclic(self) -> bool:
+        """A is the algebra of all matrices, decided by two closures of
+        dimension n instead of one of dimension n^2.
+
+        The guard: top is alone in its block, so its block projection
+        e_top e_top^T lies in A.  The test: (a) the top vector generates the
+        space, A e_top = V (top_closure), and (b) the top coordinate
+        functional generates the dual under the transposed pieces,
+        e_top^T A = V*.  Then A holds (A e_top)(e_top^T A), every rank-one
+        matrix, so A is full; and a full A passes both.  The guard is checked
+        first, and no closure is made when it fails.
+        """
+        n = len(self.where)
+        if self.sizes[self.where[self.top][0]] != 1 or rank(self.top_closure) < n:
+            return False
+        transposed = [
+            (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
+            for source, target, op in self.pieces
+        ]
+        return rank(self._closure(transposed)) == n
+
+    def algebra_rank(self) -> int:
+        """Dimension over the field of A, the unital algebra generated by
+        the matrices and the block projections E_nu, summed over its column
+        classes A E_nu.
+
+        The E_nu are orthogonal idempotents that sum to 1, so A is the direct
+        sum of the classes A E_nu, whose matrices are zero outside the
+        columns of block nu.  A E_nu is the closure C of E_nu under the
+        pieces E_mu' g E_nu: every piece lies in A, so C lies in A E_nu; C is
+        spanned by matrices with rows in a single block, and every matrix is
+        the sum of its pieces, so C is closed under left multiplication by
+        the matrices and holds A E_nu.  Each class is saturated on its own,
+        a matrix with rows in block mu stored column by column as a vector of
+        block mu, and the ranks are summed.  With one block this is the
+        saturation of A from the identity.
+        """
+        field, sizes = self.field, self.sizes
+        total = 0
+        for nu, width in enumerate(sizes):
+            ops = [[] for _ in sizes]
+            for source, target, op in self.pieces:
+                rt, rs = sizes[target], sizes[source]
+                widened = tuple(
+                    [(j * rt + i, j * rs + k, x) for j in range(width) for i, k, x in part]
+                    for part in op
+                )
+                ops[source].append((target, widened))
+            seed = field.unit(width * width, [i * width + i for i in range(width)])
+            total += rank(saturate(field, [size * width for size in sizes], ops, [(nu, seed)]))
+        return total

@@ -6,22 +6,13 @@ modes follow from the ladder x_{k+1}^± = ±(1/2)[hbar1, x_k^±] and
 h_k = [x_k^+, x0^-], and the coproduct is fully explicit on this generating
 set, so tensor products are exact.
 
-Two linear-algebra oracles decide structure by fixpoint saturation with row
-reduction: `hw_closure` computes the submodule generated by the top vector,
-and `burnside_dim` computes the dimension of the generated matrix algebra
-(full iff the module is irreducible over the complex field).  `burnside_dim`
-first tries to prove irreducibility with two closures of dimension dim, of
-the top vector and of the top coordinate functional under the transposed
-generators, and saturates the algebra in dimension dim^2 only when that
-fails, one column class A E_nu per weight nu of h0.  Every saturation is
-graded by the weight spaces of h0: each generator is lifted and cut into its
-pieces E_mu' g E_nu between weight spaces once per module, and a vector is
-only reduced against the rows of its own weight space.  The closure of the
-top vector is also made once per module, and `hw_closure` and `burnside_dim`
-share it.  Saturation clears the denominators of each generator and runs
-fraction-free elimination on Gaussian integers held as pairs of Python ints,
-so no rational arithmetic is done in it; the echelon form and the saturation
-loop are in `echelon`.
+Two linear-algebra oracles decide structure: `hw_closure` computes the
+submodule generated by the top vector, and `burnside_dim` the dimension of
+the generated matrix algebra (full iff the module is irreducible over the
+complex field).  Both run in `echelon.Split`, which this module hands the
+generators, the weight spaces of h0 as blocks and the top index, once per
+module: its closures and algebra rank are graded by weight, and run
+fraction-free elimination on Gaussian integers.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .drinfeld import ONE, ZERO, CRational
-from .echelon import GaussianInt, Split, saturate
+from .echelon import GaussianInt, Split, rank
 
 
 Row = tuple[tuple[int, CRational], ...]
@@ -148,10 +139,10 @@ class Sl2Module:
     for irreducibles it is the genuine top vector, for tensor products it is
     the product of the factors' tops.
 
-    The module is immutable, so the generators lifted over `GaussianInt` and
-    cut between weight spaces, and the closure of the top vector, are made
-    at most once per module and kept with it.  They are not fields: equality
-    and hashing see only the generators and top_index.
+    The module is immutable, so its `Split` over `GaussianInt` (the
+    generators lifted and cut between weight spaces, and the closure of the
+    top vector) is made at most once per module and kept with it.  It is not
+    a field: equality and hashing see only the generators and top_index.
     """
 
     xp: ExactMatrix
@@ -175,13 +166,6 @@ class Sl2Module:
     def _weight_split(self) -> Split:
         return _split(self, GaussianInt)
 
-    @cached_property
-    def _top_closure(self) -> list[GaussianInt]:
-        """Echelon forms, weight block by block, of the closure of the top
-        vector; read only."""
-        split = self._weight_split
-        return split.closure(split.pieces, self.top_index)
-
 
 @dataclass(frozen=True)
 class ModeOperators:
@@ -190,10 +174,6 @@ class ModeOperators:
     xp: tuple[ExactMatrix, ...]
     xm: tuple[ExactMatrix, ...]
     h: tuple[ExactMatrix, ...]
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.h) - 1
 
 
 def _diagonal(values: Iterable[CRational]) -> ExactMatrix:
@@ -344,108 +324,40 @@ def check_relations(module: Sl2Module, cutoff: int) -> list[str]:
     return bad
 
 
-def _generators(module: Sl2Module) -> tuple[ExactMatrix, ...]:
-    return (module.xp, module.xm, module.h0, module.hbar1)
+def _split(module: Sl2Module, field) -> Split:
+    """The generators split by the field between the weight spaces of h0,
+    blocks in order of first appearance, with the top index.
 
-
-def _h0_weights(module: Sl2Module) -> list[CRational] | None:
-    """The diagonal of h0, or None when h0 is not diagonal."""
-    weights = []
+    When h0 is diagonal each projection E_nu onto a weight space is a
+    polynomial in h0, so the algebra the generators span holds the E_nu and
+    is the one `Split` sees; h0 itself is left out, since it acts on each
+    block as a multiple of the identity.  When h0 is not diagonal there is
+    one block and all four generators."""
+    top, groups = module.top_index, {}
     for i, row in enumerate(module.h0.rows):
         if len(row) > 1 or (row and row[0][0] != i):
-            return None
-        weights.append(row[0][1] if row else ZERO)
-    return weights
-
-
-def _split(module: Sl2Module, field) -> Split:
-    """The generators lifted by the field and cut into their pieces
-    E_mu' g E_nu between the weight spaces of h0, blocks in order of first
-    appearance; one block when h0 is not diagonal.  A diagonal h0 is left
-    out: it acts on each block as a multiple of the identity, so it maps
-    every vector of a block into its own span."""
-    weights = _h0_weights(module)
-    if weights is None:
-        return Split(field, _generators(module), [list(range(module.dim))])
-    groups: dict[CRational, list[int]] = {}
-    for i, weight in enumerate(weights):
-        groups.setdefault(weight, []).append(i)
-    return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()))
-
-
-def _rank(echelons) -> int:
-    return sum(echelon.rank for echelon in echelons)
+            generators = (module.xp, module.xm, module.h0, module.hbar1)
+            return Split(field, generators, [list(range(module.dim))], top)
+        groups.setdefault(row[0][1] if row else ZERO, []).append(i)
+    return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()), top)
 
 
 def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """Smallest subspace containing the top vector and invariant under the
     four generators, by iterated application and fraction-free row reduction
-    over the Gaussian integers to a fixpoint.
+    over the Gaussian integers to a fixpoint (`Split.top_closure`).
 
     Returns the dimension and the echelon basis, each vector with lead entry
-    1.  The module is generated by its top vector iff the dimension equals
-    the module dimension; the four generators suffice because every higher
-    mode is an iterated hbar1-bracket of them.  When h0 is diagonal the
-    closure is h0-invariant, hence the sum of its intersections with the
-    weight spaces, and it is saturated weight space by weight space under the
-    pieces E_mu' g E_nu of the generators; every vector it makes is a weight
-    vector.  The lifted generators and the closure are made once per module
-    and shared with `burnside_dim`.
+    1 (`Split.top_basis`).  The module is generated by its top vector iff
+    the dimension equals the module dimension; the four generators suffice
+    because every higher mode is an iterated hbar1-bracket of them.  When h0
+    is diagonal the closure is h0-invariant, hence the sum of its
+    intersections with the weight spaces, and it is saturated weight space
+    by weight space; every vector it makes is a weight vector.  The closure
+    is made once per module and shared with `burnside_dim`.
     """
-    split, echelons = module._weight_split, module._top_closure
-    rows = [
-        row
-        for columns, echelon in zip(split.blocks, echelons)
-        for row in echelon.normalized_rows(columns, module.dim)
-    ]
-    rows.sort(key=lambda row: row[0])
-    return _rank(echelons), [v for _, v in rows]
-
-
-def _algebra_rank(split: Split) -> int:
-    """Dimension over the split's field of the unital algebra A the
-    generators span, summed over its column classes A E_nu.
-
-    When h0 is diagonal, each projection E_nu is a polynomial in h0, so it
-    lies in A; the E_nu are orthogonal idempotents that sum to 1, so A is the
-    direct sum of the classes A E_nu, whose matrices are zero outside the
-    columns of block nu.  A E_nu is the closure of E_nu under left
-    multiplication by the generators.  It is also the closure C of E_nu
-    under the pieces E_mu' g E_nu: every piece lies in A, so C lies in
-    A E_nu; C is spanned by matrices with rows in a single block, and every
-    generator is the sum of its pieces, so C is closed under the generators
-    and holds A E_nu.  Each class is saturated on its own, a matrix with
-    rows in block mu stored column by column as a vector of block mu, and
-    the ranks are summed.  With one block this is the saturation of A from
-    the identity.
-    """
-    field, sizes = split.field, split.sizes
-    rank = 0
-    for nu, width in enumerate(sizes):
-        ops = [[] for _ in sizes]
-        for source, target, op in split.pieces:
-            rt, rs = sizes[target], sizes[source]
-            widened = tuple(
-                [(j * rt + i, j * rs + k, x) for j in range(width) for i, k, x in part]
-                for part in op
-            )
-            ops[source].append((target, widened))
-        seed = field.unit(width * width, [i * width + i for i in range(width)])
-        rank += _rank(saturate(field, [size * width for size in sizes], ops, [(nu, seed)]))
-    return rank
-
-
-def _cocyclic(module: Sl2Module) -> bool:
-    """The top vector generates the module, and the top coordinate functional
-    generates its dual under the transposed generators."""
-    split, n = module._weight_split, module.dim
-    if _rank(module._top_closure) < n:
-        return False
-    transposed = [
-        (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
-        for source, target, op in split.pieces
-    ]
-    return _rank(split.closure(transposed, module.top_index)) == n
+    split = module._weight_split
+    return rank(split.top_closure), split.top_basis()
 
 
 def burnside_dim(module: Sl2Module) -> int:
@@ -456,33 +368,17 @@ def burnside_dim(module: Sl2Module) -> int:
     and density of the image algebra characterizes irreducibility over an
     algebraically closed field (Burnside's theorem).
 
-    An irreducible module is recognized first by two closures of dimension
-    n = dim instead of one of dimension n^2.  The guard: h0 is diagonal and
-    the top vector's weight occurs once on its diagonal, so the top vector
-    spans its weight space.  Every submodule is h0-invariant, hence the sum
-    of its intersections with the weight spaces, so it either holds the top
-    vector or lies in the kernel of the top coordinate functional.  The test:
-    (a) the top vector generates the module (the closure of `hw_closure`),
-    and (b) the top functional generates the dual under the transposed
-    generators.  The annihilator of the closure in (b) is the largest
-    submodule inside that kernel, that is, the largest submodule missing the
-    top vector.  So (a) says no proper submodule holds the top vector and (b)
-    says no nonzero submodule misses it: together they say the module is
-    irreducible, and an irreducible module passes both.  Then the result is
-    dim^2.  When the guard or either closure fails, the algebra is saturated
-    exactly, one column class A E_nu per h0-weight nu (`_algebra_rank`), by
-    fraction-free elimination over the Gaussian integers (`GaussianInt`),
-    and its rank is returned.  The generators are lifted and cut into weight
-    pieces once per module, for the closures and the classes alike, and
-    closure (a) is the one `hw_closure` makes, also once per module.
+    An irreducible module is recognized first by `Split.cocyclic`, two
+    closures of dimension dim instead of one of dimension dim^2.  Its guard,
+    that the top vector spans its block, holds iff h0 is diagonal and the top
+    weight occurs once on its diagonal (a non-diagonal h0 gives one block of
+    size dim > 1), and every rank-1 tensor word passes it.  Its closure (a)
+    is the one `hw_closure` makes.  When the guard or either closure fails,
+    the algebra is saturated exactly, one column class A E_nu per h0-weight
+    nu (`Split.algebra_rank`), and its rank is returned.
     """
     split = module._weight_split
-    # the top vector spans its block iff the guard holds: a non-diagonal h0
-    # gives one block of size dim > 1
-    top_block = split.blocks[split.where[module.top_index][0]]
-    if len(top_block) == 1 and _cocyclic(module):
-        return module.dim * module.dim
-    return _algebra_rank(split)
+    return module.dim * module.dim if split.cocyclic() else split.algebra_rank()
 
 
 def apply_shift(module: Sl2Module, c) -> Sl2Module:

@@ -335,7 +335,8 @@ TABLE_OVER = json.dumps({"type": f"C{OVER}", "dims": {}})
 def test_rank_over_the_cap_exit_one(capsys, argv, rank):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert f"rank at most {MAX_RANK}" in err and f"of rank {rank}" in err
+    # the type names its rank, once
+    assert f"rank at most {MAX_RANK}" in err and err.count(str(rank)) == 1
 
 
 LONG_TYPE = "A" + "9" * 5000  # int() refuses more than 4300 digits by default

@@ -20,9 +20,9 @@ from weylcyc import (
     tensor,
     word_module,
 )
-from weylcyc import echelon, selftest, sl2
-from weylcyc.echelon import GaussianInt, saturate
-from weylcyc.sl2 import Sl2Module, _algebra_rank, _split
+from weylcyc import echelon, selftest
+from weylcyc.echelon import GaussianInt, Split, rank, saturate
+from weylcyc.sl2 import Sl2Module, _split
 
 
 def cr(re, im=0):
@@ -214,16 +214,18 @@ def reference_hw_closure(module):
     return len(basis.rows), basis.vectors()
 
 
-def reference_algebra_rank(module):
-    n = module.dim
-    ops = [
-        [(i * n + j, k * n + j, x) for i, k, x in g for j in range(n)]
-        for g in reference_generators(module)
-    ]
+def reference_algebra_rank(ops, n):
+    """Dimension of the unital algebra generated by the sparse
+    (row, column, entry) ops on a space of dimension n."""
+    ops = [[(i * n + j, k * n + j, x) for i, k, x in g for j in range(n)] for g in ops]
     identity = [ZERO] * (n * n)
     for i in range(n):
         identity[i * n + i] = CRational(1)
     return len(reference_saturate(ops, [identity]).rows)
+
+
+def reference_burnside_dim(module):
+    return reference_algebra_rank(reference_generators(module), module.dim)
 
 
 # Reference lower bound: the algebra rank over F_p.  For Gaussian rationals
@@ -231,7 +233,7 @@ def reference_algebra_rank(module):
 # (r^2 = -1 mod p) is a ring map onto F_p, so it maps each word in the
 # generators to the same word in the reduced generators, and a set of words
 # independent mod p is independent over Q(i): the rank mod p is at most the
-# exact rank.  `_algebra_rank(_split(module, ModP))` runs the saturation over F_p.
+# exact rank.  `_split(module, ModP).algebra_rank()` runs the saturation over F_p.
 
 
 class NotReducible(ArithmeticError):
@@ -573,7 +575,6 @@ def saturation_lengths(monkeypatch):
         lengths.append(list(sizes))
         return saturate(field, sizes, ops, seeds)
 
-    monkeypatch.setattr(sl2, "saturate", spy)
     monkeypatch.setattr(echelon, "saturate", spy)
     return lengths
 
@@ -591,7 +592,7 @@ class TestBurnside:
         # the top vector generates only 3 dimensions, so the value comes from
         # the exact path; the rank mod p is a lower bound
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))
-        assert _algebra_rank(_split(module, ModP)) <= 13
+        assert _split(module, ModP).algebra_rank() <= 13
         assert burnside_dim(module) == 13
 
     def test_cyclic_but_reducible_pair(self):
@@ -599,7 +600,7 @@ class TestBurnside:
         # functional only the 3-dimensional dual of its irreducible quotient
         module = local_weyl_sl2([cr(0), cr(1)])
         assert hw_closure(module)[0] == 4
-        assert burnside_dim(module) == reference_algebra_rank(module) == 13
+        assert burnside_dim(module) == reference_burnside_dim(module) == 13
 
     @pytest.mark.parametrize(
         "factors, expected",
@@ -612,7 +613,7 @@ class TestBurnside:
     def test_rank_deficient_falls_back_to_exact(self, factors, expected):
         # proper values computed once by the exact saturation oracle, frozen since
         module = word_module([(m, cr(a)) for m, a in factors])
-        assert _algebra_rank(_split(module, ModP)) <= expected
+        assert _split(module, ModP).algebra_rank() <= expected
         assert burnside_dim(module) == expected
 
     def test_full_module_runs_no_algebra_saturation(self, saturation_lengths):
@@ -631,7 +632,7 @@ class TestBurnside:
     def test_guard_failure_takes_exact_path(self, basis, saturation_lengths):
         module = rebased(direct_sum(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(3))), *basis, top_index=1)
         assert check_relations(module, 2) == []
-        assert burnside_dim(module) == reference_algebra_rank(module) == 8
+        assert burnside_dim(module) == reference_burnside_dim(module) == 8
         # no closure runs, only the column classes, together of length dim^2:
         # a diagonal h0 has two weight spaces of dimension 2, so two classes
         # of two weight blocks each; a non-diagonal h0 gives one block
@@ -662,7 +663,7 @@ class TestModularCertificate:
         # a gap of 1 + p reduces to the reducible gap 1 mod p, but the exact
         # algebra is full: only gaps of +-1 make a W1 pair reducible
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1 + ModP.P)))
-        assert _algebra_rank(_split(module, ModP)) == 13
+        assert _split(module, ModP).algebra_rank() == 13
         assert burnside_dim(module) == 16
 
     def test_denominator_divisible_by_p_takes_exact_path(self):
@@ -671,8 +672,8 @@ class TestModularCertificate:
         for gap, expected in ((3, 16), (1, 13)):
             module = tensor(irrep_Wm(1, cr(eps)), irrep_Wm(1, cr(eps + gap)))
             with pytest.raises(NotReducible):
-                _algebra_rank(_split(module, ModP))
-            assert burnside_dim(module) == reference_algebra_rank(module) == expected
+                _split(module, ModP).algebra_rank()
+            assert burnside_dim(module) == reference_burnside_dim(module) == expected
 
     @given(
         factors=st.lists(
@@ -703,8 +704,8 @@ class TestModularCertificate:
             [(m, cr(a, im + (twist if i == 0 else 0))) for i, (m, a) in enumerate(factors)]
         )
         full = module.dim**2
-        lower = _algebra_rank(_split(module, ModP))
-        exact = full if lower == full else reference_algebra_rank(module)
+        lower = _split(module, ModP).algebra_rank()
+        exact = full if lower == full else reference_burnside_dim(module)
         assert lower <= exact
         assert burnside_dim(module) == exact
         assert burnside_dim(apply_shift(module, cr(*shift))) == exact
@@ -763,7 +764,7 @@ class TestFractionFreeAgainstReference:
         module = word_module([(m, base + k + cr(0, t)) for m, k, t in factors])
         for image in (module, apply_shift(module, shift)):
             assert hw_closure(image) == reference_hw_closure(image)
-            assert _algebra_rank(_split(image, GaussianInt)) == reference_algebra_rank(image)
+            assert _split(image, GaussianInt).algebra_rank() == reference_burnside_dim(image)
 
     @given(
         offsets=st.lists(
@@ -821,8 +822,8 @@ class TestWeightBlocksOnHandBuiltModules:
     @settings(max_examples=80, deadline=None)
     def test_graded_equals_reference(self, data, diagonal_h0):
         module = data.draw(hand_built_modules(diagonal_h0))
-        expected = reference_algebra_rank(module)
-        assert _algebra_rank(_split(module, GaussianInt)) == expected
+        expected = reference_burnside_dim(module)
+        assert _split(module, GaussianInt).algebra_rank() == expected
         assert burnside_dim(module) == expected
         # the graded closure stores weight vectors and the reference the raw
         # images, so the echelon rows differ; the ranks and spans agree
@@ -832,6 +833,35 @@ class TestWeightBlocksOnHandBuiltModules:
         blocks = _split(module, GaussianInt).blocks
         weights = [module.h0.entry(i, i) for i in range(module.dim)]
         assert len(blocks) == (len(set(weights)) if diagonal_h0 else 1)
+
+
+class TestGenericSplit:
+    """`Split` on hand-built matrices and blocks, with no module: its
+    closure, cocyclic test and algebra rank are those of the unital algebra
+    generated by the matrices and the 0/1 block projections, computed by the
+    ungraded reference."""
+
+    @given(data=st.data(), n=st.integers(1, 5), count=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_split_equals_reference(self, data, n, count):
+        entries = st.one_of(st.just(ZERO), gaussian)
+        matrix = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        mats = [ExactMatrix.from_rows(data.draw(matrix)) for _ in range(count)]
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        groups = {}
+        for i, label in enumerate(labels):
+            groups.setdefault(label, []).append(i)
+        blocks = list(groups.values())
+        top = data.draw(st.integers(0, n - 1))
+        split = Split(GaussianInt, mats, blocks, top)
+
+        ops = [[(i, j, x) for i, row in enumerate(g.rows) for j, x in row] for g in mats]
+        ops += [[(i, i, CRational(1)) for i in block] for block in blocks]
+        algebra = reference_algebra_rank(ops, n)
+        assert split.algebra_rank() == algebra
+        assert rank(split.top_closure) == len(reference_saturate(ops, [unit(n, top)]).rows)
+        top_alone = any(block == [top] for block in blocks)
+        assert split.cocyclic() == (top_alone and algebra == n * n)
 
 
 # Gaussian-rational spectral parameters with nonzero imaginary parts allowed
