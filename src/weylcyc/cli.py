@@ -16,7 +16,6 @@ import math
 import sys
 
 from . import criteria, selftest, sl2, weyl_dims
-from .criteria import IrreducibilityStatus
 from .drinfeld import (
     tuple_from_dict,
     tuple_to_dict,
@@ -26,11 +25,13 @@ from .drinfeld import (
 from .rootsys import LieType, cartan_data
 
 # A rank-1 module of k factors W_1(a) has dimension 2^k.  These caps keep one
-# call under about 10 s: `factorize` closes the module; `sl2-oracle` closes
-# the module and its dual, and on a reducible word also saturates the algebra
-# in dimension 4^k, so reducible words set its cap: the slowest 5-factor word
-# took 2.4 s, a 6-factor word with one pair of complex roots 1 apart 440 s
-# (README, Notes).
+# call under about 10 s while the parameters' numerators and denominators are
+# short: `factorize` closes the module; `sl2-oracle` closes the module and its
+# dual, and on a reducible word also saturates the algebra in dimension 4^k,
+# so reducible words set its cap: the slowest 5-factor word took 2.4 s, a
+# 6-factor word with one pair of complex roots 1 apart 440 s.  Parameter size
+# has no bound: 9 complex roots with 3-digit parts took 19 s, 5 reducible
+# factors with 6-digit complex parts 16 s (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
 # The Cartan record is O(l), but `check` builds and caches, per node pair of
@@ -160,7 +161,7 @@ def _cmd_factorize(args) -> tuple[dict, int]:
     report = {"tuple": tuple_to_dict(t), "word": word_to_dict(word)}
     if t.type == LieType("A", 1):
         _check_cap("factorize", len(word.factors), MAX_FACTORIZE_ROOTS, "roots")
-        module = sl2.local_weyl_sl2([f.param for f in word.factors])
+        module = sl2.word_module((1, f.param) for f in word.factors)
         rank, _ = sl2.hw_closure(module)
         report.update(
             {"closure_dim": rank, "dim": module.dim, "full": rank == module.dim}
@@ -197,30 +198,8 @@ def _cmd_sl2_oracle(args) -> tuple[dict, int]:
     if word.type != LieType("A", 1):
         raise ValueError(f"sl2-oracle requires type A1 words, got {word.type}")
     _check_cap("sl2-oracle", len(word.factors), MAX_ORACLE_FACTORS, "factors")
-    module = sl2.word_module((1, f.param) for f in word.factors)
-    closure, _ = sl2.hw_closure(module)
-    algebra = sl2.burnside_dim(module)
-    full_closure = closure == module.dim
-    full_algebra = algebra == module.dim**2
-    cyc = criteria.is_cyclic(word)
-    verdict = criteria.is_irreducible(word)
-    agree_cyc = full_closure or not cyc.cyclic_guaranteed
-    agree_irr = full_algebra == (
-        verdict.status is IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
-    )
-    agree = agree_cyc and agree_irr
-    report = {
-        "word": word_to_dict(word),
-        "dim": module.dim,
-        "closure_dim": closure,
-        "full": full_closure,
-        "burnside_dim": algebra,
-        "burnside_full": full_algebra,
-        "cyclic_guaranteed": cyc.cyclic_guaranteed,
-        "criterion": verdict.status.value,
-        "agree": agree,
-    }
-    return report, 2 if args.assert_ and not agree else 0
+    report = {"word": word_to_dict(word), **selftest.rank1_report(word)}
+    return report, 2 if args.assert_ and not report["agree"] else 0
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:

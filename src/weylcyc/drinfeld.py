@@ -135,6 +135,9 @@ class CRational:
             im_part = Fraction(m.group(2)) if m.group(2) else Fraction(0)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            digits = max(map(len, re.findall(r"[0-9]+", text)))
+            raise ValueError(f"a number of {digits} digits, too many to read") from None
         return cls(re_part, im_part)
 
 

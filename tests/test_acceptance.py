@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from weylcyc import (
     CRational,
     FundamentalFactor,
@@ -27,16 +29,17 @@ from weylcyc import (
     mode_operators,
     mu_series,
     s_set,
+    selftest,
     shift_word,
     tensor,
 )
 from weylcyc.selftest import (
     a1_word,
     check_factorization_cyclicity,
-    check_rank1_irreducibility_grid,
+    check_rank1_grid,
     check_t_to_s,
     check_type_a_symmetries,
-    rank1_cyclicity_grid,
+    rank1_grid,
 )
 
 from test_sl2 import expected_modes, unit
@@ -51,8 +54,9 @@ def rand_fraction(rng, span=12, dens=(1, 2, 3, 4)):
 
 
 @contextmanager
-def criterion(num, desc, budget=None):
-    t0 = time.perf_counter()
+def criterion(num, desc, budget=None, spent=0.0):
+    """`spent` is time already taken for this criterion outside the block."""
+    t0 = time.perf_counter() - spent
     try:
         yield
     except Exception:
@@ -113,16 +117,26 @@ def test_criterion_02_corollary_identities():
             assert (x0 @ x2 + x2 @ x0).apply(top) == [(a * a + b * b) * x for x in sq]
 
 
-def test_criterion_03_cyclicity_soundness():
-    with criterion(3, "criterion-cyclic grid words have full closure, length <= 3", 60):
-        checked, failure = rank1_cyclicity_grid()
+@pytest.fixture(scope="module")
+def grid():
+    """`rank1_grid()` and the seconds it took, computed once for criteria 03 and 04."""
+    t0 = time.perf_counter()
+    result = rank1_grid()
+    return result, time.perf_counter() - t0
+
+
+def test_criterion_03_cyclicity_soundness(grid):
+    (checked, failure), spent = grid
+    with criterion(3, "criterion-cyclic grid words have full closure, length <= 3", 60, spent):
         assert failure is None, failure
         assert checked > 500
 
 
-def test_criterion_04_irreducibility_equivalence():
-    with criterion(4, "burnside dimension matches the pairwise verdict exactly", 120):
-        _, ok, detail = check_rank1_irreducibility_grid()
+def test_criterion_04_irreducibility_equivalence(grid, monkeypatch):
+    monkeypatch.setattr(selftest, "rank1_grid", lambda: grid[0])
+    with criterion(4, "burnside dimension matches the pairwise verdict exactly, length <= 3",
+                   120, grid[1]):
+        _, ok, detail = check_rank1_grid()
         assert ok, detail
 
 

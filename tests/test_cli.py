@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -115,17 +116,28 @@ def test_json_boolean_is_not_an_integer(capsys, argv, field):
     assert field in err and "must be an integer" in err
 
 
+LONG_PARAM = "1" + "0" * 4400  # int() refuses more than 4300 digits by default
+
+
 @pytest.mark.parametrize(
-    "argv, field",
+    "argv, field, problem",
     [
-        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/0"}]}'], "factor 'a'"),
-        (["factorize", "--tuple", '{"type":"A1","polys":[["2","1/0"]]}'], "'polys' root"),
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/0"}]}'], "factor 'a'",
+         "zero denominator"),
+        (["factorize", "--tuple", '{"type":"A1","polys":[["2","1/0"]]}'], "'polys' root",
+         "zero denominator"),
+        (["check", "--word", json.dumps({"type": "A1", "factors": [{"node": 1, "a": LONG_PARAM}]})],
+         "factor 'a'", "4401 digits"),
+        (["factorize", "--tuple", json.dumps({"type": "A1", "polys": [["2", f"1/3-{LONG_PARAM}i"]]})],
+         "'polys' root", "4401 digits"),
     ],
 )
-def test_zero_denominator_names_the_field(capsys, argv, field):
+def test_unreadable_parameter_names_the_field(capsys, argv, field, problem):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert field in err and "zero denominator" in err
+    assert f"{field}: " in err and problem in err
+    # neither Python's advice nor the whole parameter
+    assert "set_int_max_str_digits" not in err and len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -412,8 +424,9 @@ def test_selftest_passes(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    assert len(report["checks"]) == 6
+    assert len(report["checks"]) == 5
     assert all(check["passed"] for check in report["checks"])
+    assert "rank-1 oracles agree with the criteria" in [c["name"] for c in report["checks"]]
 
 
 def test_selftest_failure_exit_two(capsys, monkeypatch):
@@ -428,3 +441,24 @@ def test_selftest_failure_exit_two(capsys, monkeypatch):
         ],
         "passed": False,
     }
+
+
+def test_rank1_grid_names_the_word_an_oracle_under_reports(monkeypatch):
+    burnside_dim, hw_closure = sl2.burnside_dim, sl2.hw_closure
+    # an irreducible length-3 word whose full algebra is reported one short
+    word = sl2.word_module([(1, Fraction(-2))] * 3)
+    monkeypatch.setattr(sl2, "burnside_dim", lambda m: burnside_dim(m) - (m == word))
+    _, ok, detail = selftest.check_rank1_grid()
+    assert not ok and detail.startswith("params (-2, -2, -2): ")
+    monkeypatch.undo()
+
+    # a criterion-cyclic length-2 word whose full closure is reported one short
+    word = sl2.word_module([(1, Fraction(1)), (1, Fraction(0))])
+
+    def closure(module):
+        rank, basis = hw_closure(module)
+        return rank - (module == word), basis
+
+    monkeypatch.setattr(sl2, "hw_closure", closure)
+    _, ok, detail = selftest.check_rank1_grid()
+    assert not ok and detail.startswith("params (1, 0): ")
