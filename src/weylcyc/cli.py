@@ -30,8 +30,8 @@ from .rootsys import LieType, cartan_data
 # dual, and on a reducible word also saturates the algebra in dimension 4^k,
 # so reducible words set its cap: the slowest 5-factor word took 2.4 s, a
 # 6-factor word with one pair of complex roots 1 apart 440 s.  Parameter size
-# has no bound: 9 complex roots with 3-digit parts took 19 s, 5 reducible
-# factors with 6-digit complex parts 16 s (README, Notes).
+# has no bound: 9 complex roots with 3-digit parts took 18-20 s, 5 reducible
+# factors with 6-digit complex parts 14-16 s (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
 # The Cartan record is O(l), but `check` builds and caches, per node pair of
