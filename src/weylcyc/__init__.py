@@ -21,34 +21,21 @@ from .drinfeld import (
     CRational,
     DrinfeldTuple,
     FundamentalFactor,
-    LaurentSeries,
     MonicPoly,
     TensorWord,
-    mu_series,
-    shift_tuple,
-    shift_word,
-    tuple_of_word,
 )
 from .rootsys import (
     CartanData,
     LieType,
-    WeightVector,
     cartan_data,
-    fundamental_weight,
     kappa,
-    weyl_apply,
 )
 from .sl2 import (
     ExactMatrix,
-    ModeOperators,
     Sl2Module,
-    apply_shift,
     burnside_dim,
-    check_relations,
     hw_closure,
     irrep_Wm,
-    local_weyl_sl2,
-    mode_operators,
     tensor,
     word_module,
 )

@@ -1,8 +1,8 @@
-"""Spectral parameters, Drinfeld polynomials, tensor words.
+"""Spectral parameters, Drinfeld polynomials, tensor words and their JSON
+wire formats.
 
-Everything is exact: spectral parameters are Gaussian rationals, monic
-polynomials are stored as root multisets, and the highest-weight series
-p(u+d)/p(u) is expanded with truncated exact Laurent coefficients.
+Everything is exact: spectral parameters are Gaussian rationals and monic
+polynomials are stored as root multisets.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .rootsys import LieType
 
@@ -178,10 +178,6 @@ class MonicPoly:
     def degree(self) -> int:
         return len(self.roots)
 
-    def shift(self, c: CRational) -> "MonicPoly":
-        """Translate every root by c, i.e. p(u) -> p(u - c)."""
-        return MonicPoly(tuple(a + c for a in self.roots))
-
     def __mul__(self, other: "MonicPoly") -> "MonicPoly":
         return MonicPoly(self.roots + other.roots)
 
@@ -228,89 +224,6 @@ class TensorWord:
 
     def __len__(self) -> int:
         return len(self.factors)
-
-
-@dataclass(frozen=True)
-class LaurentSeries:
-    """1 + sum_{k>=0} c_{k+1} u^{-k-1}, truncated after u^{-order}.
-
-    coeffs[0] is the constant term and must equal 1; order == len(coeffs) - 1.
-    """
-
-    coeffs: tuple[CRational, ...]
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != ONE:
-            raise ValueError("leading coefficient must be 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return LaurentSeries(tuple(_convolve(self.coeffs, other.coeffs, n)))
-
-
-def _convolve(a: Sequence[CRational], b: Sequence[CRational], n: int) -> list[CRational]:
-    out = [ZERO] * n
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def mu_series(p: MonicPoly, d: int, order: int | None = None) -> LaurentSeries:
-    """Expansion of p(u+d)/p(u) about u = infinity, keeping u^-1 .. u^-order.
-
-    Each root a contributes a factor (u - (a-d))/(u - a) = 1 + d/(u - a),
-    expanded as the geometric series 1 + d * sum_k a^k u^{-k-1}.  The default
-    order 2 deg(p) + 2 keeps enough coefficients to separate distinct root
-    multisets of the sizes handled here.
-    """
-    if order is None:
-        order = 2 * p.degree + 2
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs: list[CRational] = [ONE] + [ZERO] * order
-    dd = CRational(d)
-    for a in p.roots:
-        factor = [ONE]
-        power = ONE
-        for _ in range(order):
-            factor.append(dd * power)
-            power = power * a
-        coeffs = _convolve(coeffs, factor, order + 1)
-    return LaurentSeries(tuple(coeffs))
-
-
-def tuple_of_word(w: TensorWord) -> DrinfeldTuple:
-    """Drinfeld tuple of an ordered tensor product: roots collected per node."""
-    buckets: dict[int, list[CRational]] = {i: [] for i in range(1, w.type.rank + 1)}
-    for f in w.factors:
-        buckets[f.node].append(f.param)
-    return DrinfeldTuple(
-        w.type, tuple(MonicPoly(tuple(buckets[i])) for i in range(1, w.type.rank + 1))
-    )
-
-
-def shift_tuple(t: DrinfeldTuple, c: CRational) -> DrinfeldTuple:
-    """Translate every root of every component by c."""
-    return DrinfeldTuple(t.type, tuple(p.shift(c) for p in t.polys))
-
-
-def shift_word(w: TensorWord, c: CRational) -> TensorWord:
-    """Translate every spectral parameter by c."""
-    return TensorWord(
-        w.type, tuple(FundamentalFactor(f.node, f.param + c) for f in w.factors)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,9 @@
 
 The record `CartanData` holds what the criteria read about one type: the
 symmetrizers, half the dual Coxeter number and the node involution induced
-by -w0, each in closed form and O(l) in size.  The Cartan matrix, a fixed
-reduced word for the longest element and the Weyl group action on the weight
-lattice are computed on demand.
-
-Conventions: the Cartan matrix is a_ij = 2(alpha_i, alpha_j)/(alpha_i, alpha_i),
-so diag(d) * A is symmetric with the symmetrizers fixed below, and the simple
-root alpha_j has coordinates (a_1j, ..., a_lj) (the j-th column of A) in the
-fundamental-weight basis.
+by -w0, each in closed form and O(l) in size.  The tests derive the last two
+from the Cartan matrix, a reduced word for w0 and the Weyl group action on
+the weight lattice.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -62,57 +56,18 @@ class LieType:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Integral weight written in the fundamental-weight basis."""
-
-    coords: tuple[int, ...]
-
-    def __neg__(self) -> "WeightVector":
-        return WeightVector(tuple(-c for c in self.coords))
-
-
-def fundamental_weight(rank: int, i: int) -> WeightVector:
-    """The i-th fundamental weight omega_i (1-based node index)."""
-    if not 1 <= i <= rank:
-        raise ValueError(f"node {i} out of range 1..{rank}")
-    return WeightVector(tuple(1 if j == i - 1 else 0 for j in range(rank)))
-
-
-@dataclass(frozen=True)
 class CartanData:
     """What the criteria read about one classical type: the symmetrizers d,
     kappa, and the involution mapping node i to -w0(alpha_i).
 
-    The Cartan matrix and the reduced word for w0, of l^2 entries and about
-    l^2 letters, are not stored: `cartan_matrix` and `longest_word` compute
-    them on demand.
+    The Cartan matrix and a reduced word for w0, of l^2 entries and about l^2
+    letters, are not part of it: no criterion reads them.
     """
 
     type: LieType
     d: tuple[int, ...]
     kappa: Fraction
     involution: tuple[int, ...]
-
-
-def cartan_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix with rows scaled so that diag(d) * A is symmetric."""
-    l = lt.rank
-    a = [[0] * l for _ in range(l)]
-    for i in range(l):
-        a[i][i] = 2
-    for i in range(l - 1):
-        a[i][i + 1] = a[i + 1][i] = -1
-    if lt.family == "B":
-        # alpha_l short: <alpha_{l-1}, alpha_l^v> = -2
-        a[l - 1][l - 2] = -2
-    elif lt.family == "C":
-        # alpha_l long: <alpha_l, alpha_{l-1}^v> = -2
-        a[l - 2][l - 1] = -2
-    elif lt.family == "D":
-        # node l hangs off node l-2; nodes l-1 and l are not joined
-        a[l - 2][l - 1] = a[l - 1][l - 2] = 0
-        a[l - 3][l - 1] = a[l - 1][l - 3] = -1
-    return tuple(tuple(row) for row in a)
 
 
 def symmetrizers(lt: LieType) -> tuple[int, ...]:
@@ -136,34 +91,6 @@ def kappa(lt: LieType) -> Fraction:
     return Fraction(l + 1, 2)
 
 
-def longest_word(lt: LieType) -> tuple[int, ...]:
-    """A fixed reduced word for w0.
-
-    Type A uses the block word s1 (s2 s1) ... (sl ... s1).  Types B and C use
-    sl (s_{l-1} sl s_{l-1}) ... (s1 ... s_{l-1} sl s_{l-1} ... s1), and type D
-    uses sl s_{l-1} followed by the palindromic blocks through the fork.
-    """
-    l = lt.rank
-    if lt.family == "A":
-        word: list[int] = []
-        for k in range(1, l + 1):
-            word.extend(range(k, 0, -1))
-        return tuple(word)
-    if lt.family in ("B", "C"):
-        word = []
-        for j in range(l, 0, -1):
-            word.extend(range(j, l))
-            word.append(l)
-            word.extend(range(l - 1, j - 1, -1))
-        return tuple(word)
-    word = [l, l - 1]
-    for j in range(l - 2, 0, -1):
-        word.extend(range(j, l - 1))
-        word.extend((l, l - 1))
-        word.extend(range(l - 2, j - 1, -1))
-    return tuple(word)
-
-
 def involution(lt: LieType) -> tuple[int, ...]:
     """The node involution sigma with -w0(alpha_i) = alpha_sigma(i) (Bourbaki,
     Plates I-IV): the reversal in type A, the swap of the two fork nodes in
@@ -182,26 +109,3 @@ def cartan_data(lt: LieType) -> CartanData:
     """Assemble the Cartan record for one type, in O(l) work."""
     return CartanData(type=lt, d=symmetrizers(lt), kappa=kappa(lt), involution=involution(lt))
 
-
-def weyl_apply(data: CartanData, word: Sequence[int], w: WeightVector) -> WeightVector:
-    """Apply the product of simple reflections given by `word` to `w`.
-
-    The word is read as a product acting on the left, so the rightmost
-    reflection acts first.  s_j sends w to w - w_j * alpha_j, with alpha_j
-    expanded in the fundamental-weight basis.  The Cartan matrix is built
-    from data.type for the call.
-    """
-    l = data.type.rank
-    if len(w.coords) != l:
-        raise ValueError(f"weight has {len(w.coords)} coordinates, expected {l}")
-    for j in word:
-        if not 1 <= j <= l:
-            raise ValueError(f"reflection index {j} out of range 1..{l}")
-    matrix = cartan_matrix(data.type)
-    v = list(w.coords)
-    for j in reversed(word):  # rightmost reflection acts first
-        c = v[j - 1]
-        if c:
-            for i in range(l):
-                v[i] -= c * matrix[i][j - 1]
-    return WeightVector(tuple(v))

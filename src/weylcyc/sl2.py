@@ -1,10 +1,11 @@
 """Concrete rank-1 Yangian modules as exact sparse matrices.
 
 A module is carried entirely by four generator matrices: the raising and
-lowering modes x0+, x0-, the grading h0, and hbar1 = h1 - h0^2/2.  All higher
-modes follow from the ladder x_{k+1}^± = ±(1/2)[hbar1, x_k^±] and
-h_k = [x_k^+, x0^-], and the coproduct is fully explicit on this generating
-set, so tensor products are exact.
+lowering modes x0+, x0-, the grading h0, and hbar1 = h1 - h0^2/2.  Every
+higher mode is an iterated hbar1-bracket of them,
+x_{k+1}^± = ±(1/2)[hbar1, x_k^±] and h_k = [x_k^+, x0^-], so they span the
+same submodules and generate the same algebra as all modes.  The coproduct
+is explicit on this generating set, so tensor products are exact.
 
 Two linear-algebra oracles decide structure: `hw_closure` computes the
 submodule generated by the top vector, and `burnside_dim` the dimension of
@@ -20,17 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .drinfeld import ONE, ZERO, CRational
+from .drinfeld import ZERO, CRational
 from .echelon import GaussianInt, Split, rank
 
 
 Row = tuple[tuple[int, CRational], ...]
-
-
-def _exact(x) -> CRational:
-    return x if type(x) is CRational else CRational(x)
 
 
 def _minus_twice(x: CRational, y: CRational) -> CRational:
@@ -52,10 +49,12 @@ def _collect(pairs: Iterable[tuple[int, CRational]]) -> Row:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Sparse square matrix of CRational entries.
+    """Sparse square matrix of CRational entries, validated on construction.
 
     Row i is the tuple of its nonzero (column, entry) pairs in increasing
     column order.  The form is canonical, so == and hashing compare values.
+    The library builds matrices row by row and the oracles read the rows;
+    it does no matrix arithmetic.
     """
 
     rows: tuple[Row, ...]
@@ -74,61 +73,6 @@ class ExactMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
-        """From dense rows of entries (CRational or anything it accepts)."""
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square and nonempty")
-        return cls(
-            tuple(
-                tuple((j, x) for j, x in enumerate(map(_exact, row)) if x)
-                for row in rows
-            )
-        )
-
-    @classmethod
-    def zero(cls, n: int) -> "ExactMatrix":
-        return cls(((),) * n)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(tuple(((i, ONE),) for i in range(n)))
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return ExactMatrix(tuple(_collect(ra + rb) for ra, rb in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + -other
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple((j, -x) for j, x in row) for row in self.rows))
-
-    def scale(self, c) -> "ExactMatrix":
-        c = _exact(c)
-        if not c:
-            return ExactMatrix.zero(self.n)
-        return ExactMatrix(tuple(tuple((j, c * x) for j, x in row) for row in self.rows))
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        b = other.rows
-        return ExactMatrix(
-            tuple(_collect((k, x * y) for j, x in row for k, y in b[j]) for row in self.rows)
-        )
-
-    def apply(self, vec: Sequence[CRational]) -> list[CRational]:
-        return [sum((x * vec[j] for j, x in row if vec[j]), ZERO) for row in self.rows]
-
-    def entry(self, i: int, j: int) -> CRational:
-        return dict(self.rows[i]).get(j, ZERO)
-
-
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b - b @ a
 
 
 @dataclass(frozen=True)
@@ -167,15 +111,6 @@ class Sl2Module:
         return _split(self, GaussianInt)
 
 
-@dataclass(frozen=True)
-class ModeOperators:
-    """Matrices for the modes x_k^± and h_k, 0 <= k <= cutoff."""
-
-    xp: tuple[ExactMatrix, ...]
-    xm: tuple[ExactMatrix, ...]
-    h: tuple[ExactMatrix, ...]
-
-
 def _diagonal(values: Iterable[CRational]) -> ExactMatrix:
     return ExactMatrix(tuple(((s, x),) if x else () for s, x in enumerate(values)))
 
@@ -192,7 +127,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = _exact(a)
+    a = a if type(a) is CRational else CRational(a)
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
     return Sl2Module(
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
@@ -248,80 +183,6 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
         hbar1=_coproduct(m1.hbar1, m2.hbar1, (m1.xm, m2.xp)),
         top_index=m1.top_index * m2.dim + m2.top_index,
     )
-
-
-def mode_operators(module: Sl2Module, cutoff: int) -> ModeOperators:
-    """Build all modes up to the cutoff from the generator matrices.
-
-    x_{k+1}^± = ±(1/2)(hbar1 x_k^± - x_k^± hbar1), h_k = x_k^+ x0^- - x0^- x_k^+.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    half = CRational(Fraction(1, 2))
-    xp = [module.xp]
-    xm = [module.xm]
-    for _ in range(cutoff):
-        xp.append(commutator(module.hbar1, xp[-1]).scale(half))
-        xm.append(commutator(module.hbar1, xm[-1]).scale(-half))
-    h = [commutator(x, module.xm) for x in xp]
-    return ModeOperators(tuple(xp), tuple(xm), tuple(h))
-
-
-def check_relations(module: Sl2Module, cutoff: int) -> list[str]:
-    """Evaluate the defining relations on all modes up to the cutoff.
-
-    Returns descriptions of every violated matrix identity (empty for a
-    genuine module).  h-modes are derived up to 2*cutoff so that
-    [x_r^+, x_s^-] = h_{r+s} can be checked for all r, s <= cutoff, and the
-    generator matrices themselves are checked for consistency against the
-    derived h_0 and h_1.
-    """
-    k = cutoff
-    modes = mode_operators(module, 2 * k)
-    xp, xm, h = modes.xp, modes.xm, modes.h
-    zero = ExactMatrix.zero(module.dim)
-    bad: list[str] = []
-
-    if h[0] != module.h0:
-        bad.append("[x0+, x0-] != h0")
-    if len(h) > 1:
-        half = CRational(Fraction(1, 2))
-        if h[1] != module.hbar1 + (module.h0 @ module.h0).scale(half):
-            bad.append("[x1+, x0-] != hbar1 + h0^2/2")
-
-    for r in range(2 * k + 1):
-        for s in range(r + 1, 2 * k + 1):
-            if commutator(h[r], h[s]) != zero:
-                bad.append(f"[h{r}, h{s}] != 0")
-
-    for s in range(k + 1):
-        if commutator(module.h0, xp[s]) != xp[s].scale(2):
-            bad.append(f"[h0, x{s}+] != 2 x{s}+")
-        if commutator(module.h0, xm[s]) != xm[s].scale(-2):
-            bad.append(f"[h0, x{s}-] != -2 x{s}-")
-
-    for r in range(k + 1):
-        for s in range(k + 1):
-            if commutator(xp[r], xm[s]) != h[r + s]:
-                bad.append(f"[x{r}+, x{s}-] != h{r + s}")
-
-    for r in range(2 * k):
-        for s in range(k):
-            for x, sign, tag in ((xp, 1, "+"), (xm, -1, "-")):
-                lhs = commutator(h[r + 1], x[s]) - commutator(h[r], x[s + 1])
-                rhs = (h[r] @ x[s] + x[s] @ h[r]).scale(sign)
-                if lhs != rhs:
-                    bad.append(f"[h{r + 1}, x{s}{tag}] - [h{r}, x{s + 1}{tag}] mismatch")
-
-    for r in range(k):
-        for s in range(k):
-            for x, sign, tag in ((xp, 1, "+"), (xm, -1, "-")):
-                lhs = commutator(x[r + 1], x[s]) - commutator(x[r], x[s + 1])
-                rhs = (x[r] @ x[s] + x[s] @ x[r]).scale(sign)
-                if lhs != rhs:
-                    bad.append(f"[x{r + 1}{tag}, x{s}{tag}] - [x{r}{tag}, x{s + 1}{tag}] mismatch")
-
-    return bad
 
 
 def _split(module: Sl2Module, field) -> Split:
@@ -381,22 +242,6 @@ def burnside_dim(module: Sl2Module) -> int:
     return module.dim * module.dim if split.cocyclic() else split.algebra_rank()
 
 
-def apply_shift(module: Sl2Module, c) -> Sl2Module:
-    """Pull back through the spectral-shift automorphism by c.
-
-    On the generating set the shift fixes x0^±, h0 and sends hbar1 to
-    hbar1 + c * h0.
-    """
-    c = _exact(c)
-    return Sl2Module(
-        xp=module.xp,
-        xm=module.xm,
-        h0=module.h0,
-        hbar1=module.hbar1 + module.h0.scale(c),
-        top_index=module.top_index,
-    )
-
-
 def word_module(factors: Iterable[tuple[int, object]]) -> Sl2Module:
     """The ordered tensor product W_{m_1}(a_1) x ... x W_{m_k}(a_k) of the
     given (m, a) pairs, tensored left to right."""
@@ -405,16 +250,3 @@ def word_module(factors: Iterable[tuple[int, object]]) -> Sl2Module:
         raise ValueError("a tensor word needs at least one factor")
     return reduce(tensor, modules)
 
-
-def local_weyl_sl2(roots: Iterable) -> Sl2Module:
-    """Rank-1 local Weyl module for the given root multiset.
-
-    Factors W_1(a) are tensored left to right with the roots ordered by
-    non-increasing real part (ties by non-increasing imaginary part), the
-    order along which the product of top vectors generates everything.
-    """
-    parsed = [_exact(a) for a in roots]
-    if not parsed:
-        raise ValueError("root multiset must be nonempty")
-    parsed.sort(key=lambda a: (-a.re, -a.im))
-    return word_module((1, a) for a in parsed)

@@ -1,0 +1,314 @@
+"""References the tests check weylcyc against.  No command, criterion or
+oracle runs them, so they live beside the tests.
+
+- The exact matrix algebra on `ExactMatrix`, as free functions;
+  test_sl2 checks it against a dense list-of-lists reference.
+- The rank-1 Yangian: the mode ladder with its closed basis action, the
+  defining-relation checker and the spectral shift.
+- The local Weyl module of a root multiset, built as `factorize` builds it.
+- The truncated highest-weight series p(u+d)/p(u), the Drinfeld tuple of a
+  word, and words and tuples translated by a constant.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from weylcyc import (
+    CRational,
+    DrinfeldTuple,
+    FundamentalFactor,
+    LieType,
+    MonicPoly,
+    TensorWord,
+    weyl_factorize,
+    word_module,
+)
+from weylcyc.drinfeld import ONE, ZERO
+from weylcyc.sl2 import ExactMatrix, Sl2Module, _collect
+
+HALF = CRational(Fraction(1, 2))
+
+
+def exact(x) -> CRational:
+    return x if type(x) is CRational else CRational(x)
+
+
+def unit(n, i):
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
+
+
+# ---------------------------------------------------------------------------
+# Matrix algebra on the sparse rows of `ExactMatrix`
+
+
+def from_rows(rows: Sequence[Sequence]) -> ExactMatrix:
+    """From dense rows of entries (CRational or anything it accepts)."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square and nonempty")
+    return ExactMatrix(
+        tuple(tuple((j, x) for j, x in enumerate(map(exact, row)) if x) for row in rows)
+    )
+
+
+def zero(n: int) -> ExactMatrix:
+    return ExactMatrix(((),) * n)
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix(tuple(((i, ONE),) for i in range(n)))
+
+
+def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if b.n != a.n:
+        raise ValueError("dimension mismatch")
+    return ExactMatrix(tuple(_collect(ra + rb) for ra, rb in zip(a.rows, b.rows)))
+
+
+def neg(a: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(tuple(tuple((j, -x) for j, x in row) for row in a.rows))
+
+
+def sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return add(a, neg(b))
+
+
+def scale(a: ExactMatrix, c) -> ExactMatrix:
+    c = exact(c)
+    if not c:
+        return zero(a.n)
+    return ExactMatrix(tuple(tuple((j, c * x) for j, x in row) for row in a.rows))
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if b.n != a.n:
+        raise ValueError("dimension mismatch")
+    return ExactMatrix(
+        tuple(_collect((k, x * y) for j, x in row for k, y in b.rows[j]) for row in a.rows)
+    )
+
+
+def apply(a: ExactMatrix, vec: Sequence[CRational]) -> list[CRational]:
+    return [sum((x * vec[j] for j, x in row if vec[j]), ZERO) for row in a.rows]
+
+
+def entry(a: ExactMatrix, i: int, j: int) -> CRational:
+    return dict(a.rows[i]).get(j, ZERO)
+
+
+def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return sub(matmul(a, b), matmul(b, a))
+
+
+def anticommutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return add(matmul(a, b), matmul(b, a))
+
+
+# ---------------------------------------------------------------------------
+# Rank-1 Yangian modes and relations
+
+
+@dataclass(frozen=True)
+class ModeOperators:
+    """Matrices for the modes x_k^± and h_k, 0 <= k <= cutoff."""
+
+    xp: tuple[ExactMatrix, ...]
+    xm: tuple[ExactMatrix, ...]
+    h: tuple[ExactMatrix, ...]
+
+
+def mode_operators(module: Sl2Module, cutoff: int) -> ModeOperators:
+    """Build all modes up to the cutoff from the generator matrices.
+
+    x_{k+1}^± = ±(1/2)(hbar1 x_k^± - x_k^± hbar1), h_k = x_k^+ x0^- - x0^- x_k^+.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    xp = [module.xp]
+    xm = [module.xm]
+    for _ in range(cutoff):
+        xp.append(scale(commutator(module.hbar1, xp[-1]), HALF))
+        xm.append(scale(commutator(module.hbar1, xm[-1]), -HALF))
+    h = [commutator(x, module.xm) for x in xp]
+    return ModeOperators(tuple(xp), tuple(xm), tuple(h))
+
+
+def expected_modes(m, a, k):
+    """Closed-formula matrices for the modes on the (m+1)-dim irreducible."""
+    n = m + 1
+    xp = [[ZERO] * n for _ in range(n)]
+    xm = [[ZERO] * n for _ in range(n)]
+    h = [[ZERO] * n for _ in range(n)]
+    for s in range(n):
+        if s + 1 < n:
+            xp[s + 1][s] = (a + s) ** k * CRational(s + 1)
+        if s - 1 >= 0:
+            xm[s - 1][s] = (a + (s - 1)) ** k * CRational(m - s + 1)
+        h[s][s] = (a + (s - 1)) ** k * CRational(s * (m - s + 1)) - (
+            a + s
+        ) ** k * CRational((s + 1) * (m - s))
+    return from_rows(xp), from_rows(xm), from_rows(h)
+
+
+def check_relations(module: Sl2Module, cutoff: int) -> list[str]:
+    """Evaluate the defining relations on all modes up to the cutoff.
+
+    Returns descriptions of every violated matrix identity (empty for a
+    genuine module).  h-modes are derived up to 2*cutoff so that
+    [x_r^+, x_s^-] = h_{r+s} can be checked for all r, s <= cutoff, and the
+    generator matrices themselves are checked for consistency against the
+    derived h_0 and h_1.
+    """
+    k = cutoff
+    modes = mode_operators(module, 2 * k)
+    xp, xm, h = modes.xp, modes.xm, modes.h
+    null = zero(module.dim)
+    bad: list[str] = []
+
+    if h[0] != module.h0:
+        bad.append("[x0+, x0-] != h0")
+    if len(h) > 1:
+        if h[1] != add(module.hbar1, scale(matmul(module.h0, module.h0), HALF)):
+            bad.append("[x1+, x0-] != hbar1 + h0^2/2")
+
+    for r in range(2 * k + 1):
+        for s in range(r + 1, 2 * k + 1):
+            if commutator(h[r], h[s]) != null:
+                bad.append(f"[h{r}, h{s}] != 0")
+
+    for s in range(k + 1):
+        if commutator(module.h0, xp[s]) != scale(xp[s], 2):
+            bad.append(f"[h0, x{s}+] != 2 x{s}+")
+        if commutator(module.h0, xm[s]) != scale(xm[s], -2):
+            bad.append(f"[h0, x{s}-] != -2 x{s}-")
+
+    for r in range(k + 1):
+        for s in range(k + 1):
+            if commutator(xp[r], xm[s]) != h[r + s]:
+                bad.append(f"[x{r}+, x{s}-] != h{r + s}")
+
+    for r in range(2 * k):
+        for s in range(k):
+            for x, sign, tag in ((xp, 1, "+"), (xm, -1, "-")):
+                lhs = sub(commutator(h[r + 1], x[s]), commutator(h[r], x[s + 1]))
+                rhs = scale(anticommutator(h[r], x[s]), sign)
+                if lhs != rhs:
+                    bad.append(f"[h{r + 1}, x{s}{tag}] - [h{r}, x{s + 1}{tag}] mismatch")
+
+    for r in range(k):
+        for s in range(k):
+            for x, sign, tag in ((xp, 1, "+"), (xm, -1, "-")):
+                lhs = sub(commutator(x[r + 1], x[s]), commutator(x[r], x[s + 1]))
+                rhs = scale(anticommutator(x[r], x[s]), sign)
+                if lhs != rhs:
+                    bad.append(f"[x{r + 1}{tag}, x{s}{tag}] - [x{r}{tag}, x{s + 1}{tag}] mismatch")
+
+    return bad
+
+
+def apply_shift(module: Sl2Module, c) -> Sl2Module:
+    """Pull back through the spectral-shift automorphism by c.
+
+    On the generating set the shift fixes x0^±, h0 and sends hbar1 to
+    hbar1 + c * h0.
+    """
+    return dataclasses.replace(module, hbar1=add(module.hbar1, scale(module.h0, c)))
+
+
+def local_weyl(roots: Iterable) -> Sl2Module:
+    """Rank-1 local Weyl module of the root multiset, built as `factorize`
+    builds it: W_1 factors tensored in the order of `weyl_factorize`."""
+    t = DrinfeldTuple(LieType("A", 1), (MonicPoly.from_roots(roots),))
+    return word_module((1, f.param) for f in weyl_factorize(t).factors)
+
+
+# ---------------------------------------------------------------------------
+# Highest-weight series, tuples of words and spectral shifts
+
+
+@dataclass(frozen=True)
+class LaurentSeries:
+    """1 + sum_{k>=0} c_{k+1} u^{-k-1}, truncated after u^{-order}.
+
+    coeffs[0] is the constant term and must equal 1; order == len(coeffs) - 1.
+    """
+
+    coeffs: tuple[CRational, ...]
+
+    def __post_init__(self):
+        if not self.coeffs or self.coeffs[0] != ONE:
+            raise ValueError("leading coefficient must be 1")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        n = min(len(self.coeffs), len(other.coeffs))
+        return LaurentSeries(tuple(_convolve(self.coeffs, other.coeffs, n)))
+
+
+def _convolve(a: Sequence[CRational], b: Sequence[CRational], n: int) -> list[CRational]:
+    out = [ZERO] * n
+    for i, ai in enumerate(a):
+        if i >= n:
+            break
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if i + j >= n:
+                break
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def mu_series(p: MonicPoly, d: int, order: int | None = None) -> LaurentSeries:
+    """Expansion of p(u+d)/p(u) about u = infinity, keeping u^-1 .. u^-order.
+
+    Each root a contributes a factor (u - (a-d))/(u - a) = 1 + d/(u - a),
+    expanded as the geometric series 1 + d * sum_k a^k u^{-k-1}.  The default
+    order 2 deg(p) + 2 keeps enough coefficients to separate distinct root
+    multisets of the sizes handled here.
+    """
+    if order is None:
+        order = 2 * p.degree + 2
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    coeffs: list[CRational] = [ONE] + [ZERO] * order
+    dd = CRational(d)
+    for a in p.roots:
+        factor = [ONE]
+        power = ONE
+        for _ in range(order):
+            factor.append(dd * power)
+            power = power * a
+        coeffs = _convolve(coeffs, factor, order + 1)
+    return LaurentSeries(tuple(coeffs))
+
+
+def tuple_of_word(w: TensorWord) -> DrinfeldTuple:
+    """Drinfeld tuple of an ordered tensor product: roots collected per node."""
+    buckets: dict[int, list[CRational]] = {i: [] for i in range(1, w.type.rank + 1)}
+    for f in w.factors:
+        buckets[f.node].append(f.param)
+    return DrinfeldTuple(
+        w.type, tuple(MonicPoly(tuple(buckets[i])) for i in range(1, w.type.rank + 1))
+    )
+
+
+def shift_tuple(t: DrinfeldTuple, c: CRational) -> DrinfeldTuple:
+    """Translate every root of every component by c, i.e. p(u) -> p(u - c)."""
+    return DrinfeldTuple(t.type, tuple(MonicPoly(tuple(a + c for a in p.roots)) for p in t.polys))
+
+
+def shift_word(w: TensorWord, c: CRational) -> TensorWord:
+    """Translate every spectral parameter by c."""
+    return TensorWord(
+        w.type, tuple(FundamentalFactor(f.node, f.param + c) for f in w.factors)
+    )

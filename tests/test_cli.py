@@ -402,10 +402,19 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+@pytest.fixture(scope="module")
+def selftest_results():
+    """One real `selftest.run_all()`, for tests that only render its results."""
+    return selftest.run_all()
+
+
 @pytest.mark.parametrize(
     "argv", [argv for argv, _ in EXAMPLES], ids=[" ".join(a[:2]) for a, _ in EXAMPLES]
 )
-def test_pretty_rendering(capsys, argv):
+def test_pretty_rendering(capsys, monkeypatch, request, argv):
+    if argv[0] == "selftest":
+        results = request.getfixturevalue("selftest_results")
+        monkeypatch.setattr(selftest, "run_all", lambda: results)
     code, out, _ = run(capsys, *argv)
     pretty_code, pretty_out, _ = run(capsys, *argv, "--pretty")
     assert pretty_code == code

@@ -20,12 +20,12 @@ from weylcyc import (
     is_irreducible,
     left_dual,
     s_set,
-    shift_word,
     t_set_C,
-    tuple_of_word,
     weyl_factorize,
 )
 from weylcyc.selftest import random_tuple
+
+from reference import shift_word, tuple_of_word
 
 
 def cr(re, im=0):

@@ -14,18 +14,16 @@ from weylcyc import (
     LieType,
     MonicPoly,
     TensorWord,
-    mu_series,
-    shift_tuple,
-    tuple_of_word,
 )
 from weylcyc.drinfeld import (
-    LaurentSeries,
     tuple_from_dict,
     tuple_to_dict,
     word_from_dict,
     word_to_dict,
 )
 from weylcyc.weyl_dims import FundamentalDimTable, table_from_dict
+
+from reference import LaurentSeries, mu_series, shift_tuple, tuple_of_word
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 

@@ -1,8 +1,10 @@
 """README's examples, run as written: each command of the "Command line"
 block exits 0, prints one JSON report and, where the block shows one under
-it, that report; and the values the Python snippet claims in its comments
-are the values it computes."""
+it, that report; the values the Python snippet claims in its comments are
+the values it computes; and the "Library layout" table names only what its
+modules define."""
 
+import importlib
 import json
 import re
 import shlex
@@ -67,3 +69,30 @@ def test_python_snippet_claims():
     assert len(claims) == 2
     for expression, claim in claims:
         assert eval(expression, namespace) == eval(claim, namespace)
+
+
+def layout_rows():
+    """(module, backticked identifiers of its contents) for each row of the
+    "Library layout" table."""
+    text = README.read_text()
+    section = text[text.index("## Library layout") :]
+    rows = re.findall(r"^\| `(\w+)`\s*\|(.*)\|$", section[: section.index("```")], re.M)
+    identifier = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)?")
+    return [
+        (module, [name for name in re.findall(r"`([^`]+)`", contents) if identifier.fullmatch(name)])
+        for module, contents in rows
+    ]
+
+
+def test_layout_table_names_module_attributes():
+    rows = layout_rows()
+    assert [module for module, _ in rows] == [
+        "rootsys", "drinfeld", "criteria", "sl2", "echelon", "weyl_dims", "cli"
+    ]
+    for module, names in rows:
+        assert names, module
+        for name in names:
+            # a dotted name is read from another module of the package
+            owner, _, attr = name.rpartition(".")
+            namespace = importlib.import_module(f"weylcyc.{owner or module}")
+            assert hasattr(namespace, attr), f"`{name}` in the {module} row"

@@ -1,19 +1,12 @@
 import dataclasses
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
-from weylcyc import (
-    LieType,
-    WeightVector,
-    cartan_data,
-    fundamental_weight,
-    kappa,
-    weyl_apply,
-)
-from weylcyc.rootsys import cartan_matrix, longest_word
+from weylcyc import CartanData, LieType, cartan_data, kappa
 
 
 def all_types(max_rank=8):
@@ -25,6 +18,101 @@ def all_types(max_rank=8):
 # Reference oracle: the root-system derivation of kappa, the -w0 involution
 # and the number of positive roots, against which rootsys's closed forms are
 # checked.
+#
+# Conventions: the Cartan matrix is a_ij = 2(alpha_i, alpha_j)/(alpha_i, alpha_i),
+# so diag(d) * A is symmetric with the symmetrizers of `cartan_data`, and the
+# simple root alpha_j has coordinates (a_1j, ..., a_lj) (the j-th column of A)
+# in the fundamental-weight basis.
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Integral weight written in the fundamental-weight basis."""
+
+    coords: tuple[int, ...]
+
+    def __neg__(self) -> "WeightVector":
+        return WeightVector(tuple(-c for c in self.coords))
+
+
+def fundamental_weight(rank: int, i: int) -> WeightVector:
+    """The i-th fundamental weight omega_i (1-based node index)."""
+    if not 1 <= i <= rank:
+        raise ValueError(f"node {i} out of range 1..{rank}")
+    return WeightVector(tuple(1 if j == i - 1 else 0 for j in range(rank)))
+
+
+def cartan_matrix(lt: LieType) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix with rows scaled so that diag(d) * A is symmetric."""
+    l = lt.rank
+    a = [[0] * l for _ in range(l)]
+    for i in range(l):
+        a[i][i] = 2
+    for i in range(l - 1):
+        a[i][i + 1] = a[i + 1][i] = -1
+    if lt.family == "B":
+        # alpha_l short: <alpha_{l-1}, alpha_l^v> = -2
+        a[l - 1][l - 2] = -2
+    elif lt.family == "C":
+        # alpha_l long: <alpha_l, alpha_{l-1}^v> = -2
+        a[l - 2][l - 1] = -2
+    elif lt.family == "D":
+        # node l hangs off node l-2; nodes l-1 and l are not joined
+        a[l - 2][l - 1] = a[l - 1][l - 2] = 0
+        a[l - 3][l - 1] = a[l - 1][l - 3] = -1
+    return tuple(tuple(row) for row in a)
+
+
+def longest_word(lt: LieType) -> tuple[int, ...]:
+    """A fixed reduced word for w0.
+
+    Type A uses the block word s1 (s2 s1) ... (sl ... s1).  Types B and C use
+    sl (s_{l-1} sl s_{l-1}) ... (s1 ... s_{l-1} sl s_{l-1} ... s1), and type D
+    uses sl s_{l-1} followed by the palindromic blocks through the fork.
+    """
+    l = lt.rank
+    if lt.family == "A":
+        word: list[int] = []
+        for k in range(1, l + 1):
+            word.extend(range(k, 0, -1))
+        return tuple(word)
+    if lt.family in ("B", "C"):
+        word = []
+        for j in range(l, 0, -1):
+            word.extend(range(j, l))
+            word.append(l)
+            word.extend(range(l - 1, j - 1, -1))
+        return tuple(word)
+    word = [l, l - 1]
+    for j in range(l - 2, 0, -1):
+        word.extend(range(j, l - 1))
+        word.extend((l, l - 1))
+        word.extend(range(l - 2, j - 1, -1))
+    return tuple(word)
+
+
+def weyl_apply(data: CartanData, word: Sequence[int], w: WeightVector) -> WeightVector:
+    """Apply the product of simple reflections given by `word` to `w`.
+
+    The word is read as a product acting on the left, so the rightmost
+    reflection acts first.  s_j sends w to w - w_j * alpha_j, with alpha_j
+    expanded in the fundamental-weight basis.  The Cartan matrix is built
+    from data.type for the call.
+    """
+    l = data.type.rank
+    if len(w.coords) != l:
+        raise ValueError(f"weight has {len(w.coords)} coordinates, expected {l}")
+    for j in word:
+        if not 1 <= j <= l:
+            raise ValueError(f"reflection index {j} out of range 1..{l}")
+    matrix = cartan_matrix(data.type)
+    v = list(w.coords)
+    for j in reversed(word):  # rightmost reflection acts first
+        c = v[j - 1]
+        if c:
+            for i in range(l):
+                v[i] -= c * matrix[i][j - 1]
+    return WeightVector(tuple(v))
 
 
 def positive_roots(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
