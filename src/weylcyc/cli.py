@@ -34,10 +34,13 @@ from .rootsys import LieType, cartan_data
 # factors with 6-digit complex parts 14-16 s (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
-# The Cartan record is O(l), but `check` builds and caches, per node pair of
-# the word, an S-set of about l members: on a random 100-factor D-word,
-# `check --irreducible` took 0.7 s / 23 MB at rank 64, 5.4 s / 67 MB at 256
-# and 21 s / 268 MB at 1024.  64 is the rank the tests cover (README, Notes).
+# The Cartan record is O(l), but `check` builds and caches an S-set of about
+# l members for each node pair the pair scan's window reaches (l - 1 in type
+# D).  On a random 100-factor D-word with half-integer parameters in
+# [-50, 50], nearly every pair within the window, `check --irreducible` took
+# 0.7 s / 23 MB at rank 64, 4.4 s / 64 MB at 256 and 17 s / 266 MB at 1024;
+# spread over [-100000, 100000], 0.3 s / 18 MB at 1024.  64 is the rank the
+# tests cover (README, Notes).
 MAX_RANK = 64
 
 

@@ -207,29 +207,49 @@ def derive_s_from_t(data: CartanData, bm: int, bn: int) -> SSet:
     return SSet(frozenset(members))
 
 
+def _window(data: CartanData) -> Fraction:
+    """The largest S-set member of the type, in closed form: kappa in types
+    A and D, 2 kappa in B and C (tests/test_criteria.py checks it against
+    every S-set up to rank 24)."""
+    return max(data.d) * data.kappa
+
+
 def _pair_scan(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
     """Violations of the pairwise condition, sorted by position pair (m, n).
 
-    One pass over m < n: a real d = a_n - a_m is checked against S(b_m, b_n),
-    and with both_orders -d against S(b_n, b_m) for the pair (n, m).  S-set
-    members are positive, so the sign of d says which of the two can hit.
+    Every S-set member is positive and at most the window W of the type
+    (`_window`).  So two positions can only violate the condition when their
+    parameters share the imaginary part and the real parts differ by some d
+    with 0 < d <= W.  Positions are grouped by the exact imaginary part, each
+    group is sorted by real part (ties in position order), and each entry
+    walks forward through its group while d <= W, skipping d = 0.  For the
+    lower entry i and the upper entry j, d = a_j - a_i is looked up in
+    S(b_i, b_j): with i < j that is the pair (i, j) of is_cyclic, with i > j
+    the reversed pair that only both_orders reads.  The cost is the sorts,
+    O(k log k), plus one step per pair inside a window, where a loop over
+    all pairs forms k(k-1)/2 differences.
     """
     data = cartan_data(w.type)
+    window = _window(data)
     factors = w.factors
+    groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    for i, f in enumerate(factors):
+        groups.setdefault(f.param.im, []).append((f.param.re, i))
     violations = []
-    for m in range(len(factors)):
-        fm = factors[m]
-        for n in range(m + 1, len(factors)):
-            fn = factors[n]
-            diff = fn.param - fm.param
-            if diff.is_real:
-                d = diff.re
-                if d > 0 and d in s_set(data, fm.node, fn.node):
-                    violations.append(PairViolation(m + 1, n + 1, diff, d))
-                elif both_orders and d < 0 and -d in s_set(data, fn.node, fm.node):
-                    violations.append(PairViolation(n + 1, m + 1, -diff, -d))
-    if both_orders:
-        violations.sort(key=lambda v: (v.m, v.n))
+    for group in groups.values():
+        group.sort()
+        for lo, (re_i, i) in enumerate(group):
+            for hi in range(lo + 1, len(group)):
+                re_j, j = group[hi]
+                d = re_j - re_i
+                if d > window:
+                    break
+                if not d or (i > j and not both_orders):
+                    continue
+                fi, fj = factors[i], factors[j]
+                if d in s_set(data, fi.node, fj.node):
+                    violations.append(PairViolation(i + 1, j + 1, fj.param - fi.param, d))
+    violations.sort(key=lambda v: (v.m, v.n))
     return tuple(violations)
 
 

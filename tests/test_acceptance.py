@@ -9,12 +9,14 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
 from weylcyc import (
     CRational,
     FundamentalFactor,
+    IrreducibilityStatus,
     LieType,
     MonicPoly,
     TensorWord,
@@ -272,3 +274,57 @@ def test_criterion_15_reducible_local_weyl_algebras():
     with criterion(15, "Burnside algebras of the local Weyl strings 0..4, 0..5: 364, 1093", 5):
         for k, algebra in ((5, 364), (6, 1093)):
             assert burnside_dim(local_weyl([cr(j) for j in range(k)])) == algebra
+
+
+def planted_word(rng, lt, length, n_fwd, n_bwd, n_complex):
+    """A word whose only violating pairs are the planted ones, built as the
+    benchmark builds its pairwise_scan words.
+
+    Real parts sit on a grid spaced wider than twice the largest S-set
+    member, so no two grid points differ by a member and a point moved by a
+    member stays clear of every other.  A forward pair sets a_n = a_m + s
+    with s in S(b_m, b_n); a backward pair sets a_m = a_n + s with s in
+    S(b_n, b_m), seen only at (n, m).  Non-real parameters have distinct
+    imaginary parts.  Returns the word and the planted (m, n, member)
+    triples, forward and backward.
+    """
+    data = cartan_data(lt)
+    l = lt.rank
+    top = max(max(s_set(data, i, j).values) for i in range(1, l + 1) for j in range(1, l + 1))
+    spacing = 2 * ceil(top) + 1
+    nodes = [rng.randint(1, l) for _ in range(length)]
+    offset = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
+    re_parts = [spacing * s + offset for s in rng.sample(range(length), length)]
+    im_parts = [Fraction(0)] * length
+    positions = rng.sample(range(length), length)
+    for p, k in zip(positions[:n_complex], rng.sample(range(1, 40), n_complex)):
+        im_parts[p] = Fraction(rng.choice((-1, 1)) * k, 2)
+    free = positions[n_complex:]
+    fwd, bwd = [], []
+    for i in range(n_fwd + n_bwd):
+        m, n = sorted(free[2 * i : 2 * i + 2])
+        if i < n_fwd:
+            s = rng.choice(sorted(s_set(data, nodes[m], nodes[n]).values))
+            re_parts[n] = re_parts[m] + s
+            fwd.append((m + 1, n + 1, s))
+        else:
+            s = rng.choice(sorted(s_set(data, nodes[n], nodes[m]).values))
+            re_parts[m] = re_parts[n] + s
+            bwd.append((n + 1, m + 1, s))
+    factors = tuple(
+        FundamentalFactor(b, CRational(x, y)) for b, x, y in zip(nodes, re_parts, im_parts)
+    )
+    return TensorWord(lt, factors), sorted(fwd), sorted(bwd)
+
+
+def test_criterion_16_long_word_scan_budget():
+    # the budget fails a loop over all k(k-1)/2 pairs: about 10 s per call here
+    rng = random.Random(116)
+    w, fwd, bwd = planted_word(rng, LieType("D", 8), 1600, 3, 3, 4)
+    with criterion(16, "1600-factor D8 word: exactly the planted pairs, both criteria", 1):
+        cyc = is_cyclic(w)
+        irr = is_irreducible(w)
+        assert [(v.m, v.n, v.member) for v in cyc.violations] == fwd
+        assert [(v.m, v.n, v.member) for v in irr.evidence] == sorted(fwd + bwd)
+        assert all(v.diff == cr(v.member) for v in cyc.violations + irr.evidence)
+        assert irr.status is IrreducibilityStatus.NOT_GUARANTEED

@@ -15,6 +15,7 @@ from weylcyc import (
     PairViolation,
     TensorWord,
     cartan_data,
+    criteria,
     derive_s_from_t,
     is_cyclic,
     is_irreducible,
@@ -226,22 +227,82 @@ def tensor_words(draw):
     return TensorWord(lt, tuple(draw(st.lists(factor, min_size=1, max_size=12))))
 
 
+@st.composite
+def dense_tensor_words(draw):
+    """20-60 factors whose half-integer real parts span about three windows
+    (the largest S-set member), over 2-3 imaginary parts, with some
+    parameters repeated exactly: many pairs fall inside each window, some at
+    difference 0."""
+    family, lo = draw(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 3)]))
+    lt = LieType(family, draw(st.integers(lo, 8)))
+    data = cartan_data(lt)
+    halves = int(6 * max(data.d) * data.kappa)  # 3W in steps of 1/2
+    start = draw(st.integers(-40, 40))
+    ims = draw(
+        st.lists(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3)]),
+            min_size=2, max_size=3, unique=True,
+        )
+    )
+    param = st.builds(
+        CRational,
+        st.integers(start, start + halves).map(lambda k: Fraction(k, 2)),
+        st.sampled_from(ims),
+    )
+    params = draw(st.lists(param, min_size=20, max_size=60))
+    k = len(params)
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=6)):
+        params[dst] = params[src]
+    nodes = draw(st.lists(st.integers(1, lt.rank), min_size=k, max_size=k))
+    return TensorWord(lt, tuple(map(FundamentalFactor, nodes, params)))
+
+
+def assert_matches_reference(w):
+    cyc = is_cyclic(w)
+    assert cyc.violations == reference_cyclic_violations(w)
+    irr = is_irreducible(w)
+    expected = reference_irreducible_violations(w)
+    assert irr.evidence == expected
+    assert [str(v.diff) for v in irr.evidence] == [str(v.diff) for v in expected]
+    if not expected:
+        assert irr.status is IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
+    elif w.type.family == "A":
+        assert irr.status is IrreducibilityStatus.REDUCIBLE_PROVEN
+    else:
+        assert irr.status is IrreducibilityStatus.NOT_GUARANTEED
+
+
 class TestPairScanAgainstReference:
     @given(w=tensor_words())
     @settings(max_examples=200, deadline=None)
     def test_matches_quadratic_loops(self, w):
-        cyc = is_cyclic(w)
-        assert cyc.violations == reference_cyclic_violations(w)
-        irr = is_irreducible(w)
-        expected = reference_irreducible_violations(w)
-        assert irr.evidence == expected
-        assert [str(v.diff) for v in irr.evidence] == [str(v.diff) for v in expected]
-        if not expected:
-            assert irr.status is IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
-        elif w.type.family == "A":
-            assert irr.status is IrreducibilityStatus.REDUCIBLE_PROVEN
-        else:
-            assert irr.status is IrreducibilityStatus.NOT_GUARANTEED
+        assert_matches_reference(w)
+
+    @given(w=dense_tensor_words())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_quadratic_loops_on_dense_windows(self, w):
+        assert_matches_reference(w)
+
+
+class TestScanWindow:
+    @pytest.mark.parametrize("family, lo", [("A", 1), ("B", 2), ("C", 2), ("D", 3)])
+    def test_window_is_the_largest_member(self, family, lo):
+        build = criteria._s_set_cached.__wrapped__  # uncached: no 20 MB of sets left behind
+        for l in range(lo, 25):
+            lt = LieType(family, l)
+            data = cartan_data(lt)
+            nodes = range(1, l + 1)
+            top = max(max(build(lt, bm, bn).values) for bm in nodes for bn in nodes)
+            assert max(data.d) * data.kappa == top
+            assert criteria._window(data) == max(data.d) * data.kappa
+
+    def test_scan_reads_its_window(self, monkeypatch):
+        # S(3, 3) = {2, 3, 4} in C3, and 4 = W: the pair sits on the window's edge
+        w = word("C3", (3, 0, 0), (3, 4, 0))
+        assert [(v.m, v.n, v.member) for v in is_cyclic(w).violations] == [(1, 2, 4)]
+        monkeypatch.setattr(criteria, "_window", lambda data: Fraction(7, 2))
+        assert is_cyclic(w).violations == ()
+        assert is_irreducible(w).evidence == ()
 
 
 class TestLeftDual:
@@ -330,3 +391,31 @@ class TestShiftInvariance:
                 shifted = shift_word(w, c)
                 assert is_cyclic(shifted).cyclic_guaranteed == base_cyc.cyclic_guaranteed
                 assert is_irreducible(shifted).status == base_irr.status
+                assert pair_members(is_cyclic(shifted).violations) == pair_members(
+                    base_cyc.violations
+                )
+                assert pair_members(is_irreducible(shifted).evidence) == pair_members(
+                    base_irr.evidence
+                )
+
+    @given(
+        w=dense_tensor_words(),
+        c=st.builds(
+            CRational,
+            st.fractions(-100, 100, max_denominator=6),
+            st.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 3)]),
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_violations_invariant_under_global_shift(self, w, c):
+        shifted = shift_word(w, c)
+        assert pair_members(is_cyclic(shifted).violations) == pair_members(
+            is_cyclic(w).violations
+        )
+        irr, shifted_irr = is_irreducible(w), is_irreducible(shifted)
+        assert pair_members(shifted_irr.evidence) == pair_members(irr.evidence)
+        assert shifted_irr.status == irr.status
+
+
+def pair_members(violations):
+    return [(v.m, v.n, v.member) for v in violations]
