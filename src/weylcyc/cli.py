@@ -34,14 +34,13 @@ from .rootsys import LieType, cartan_data
 # factors with 6-digit complex parts 14-16 s (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
-# The Cartan record is O(l), but `check` builds and caches an S-set of about
-# l members for each node pair the pair scan's window reaches (l - 1 in type
-# D).  On a random 100-factor D-word with half-integer parameters in
-# [-50, 50], nearly every pair within the window, `check --irreducible` took
-# 0.7 s / 23 MB at rank 64, 4.4 s / 64 MB at 256 and 17 s / 266 MB at 1024;
-# spread over [-100000, 100000], 0.3 s / 18 MB at 1024.  64 is the rank the
-# tests cover (README, Notes).
-MAX_RANK = 64
+# `check` tests S-set membership in closed form and `dims` sizes a result too
+# long to print from logarithms, so what grows with the rank l is O(l) data:
+# the Cartan record, the T-set of `sets --tset`, the built-in `dims` table of
+# l binomials.  In fresh processes at rank 4096 `dims` took 1.2-1.6 s (the
+# table alone 1.2 s, 0.02 s at 1024) and every other command at most 0.39 s,
+# `check` and `dual` on 100-factor words; none passed 24 MB (README, Notes).
+MAX_RANK = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,6 +177,10 @@ def _cmd_dims(args) -> tuple[dict, int]:
         table = _load(args.table, "table", weyl_dims.table_from_dict)
     else:
         table = weyl_dims.builtin_table(t.type)
+    # far past the digits Python prints, name the size without forming the product
+    digits = sum(p.degree * math.log10(table.dims.get(i, 1)) for i, p in enumerate(t.polys, 1))
+    if 0 < 2 * sys.get_int_max_str_digits() < digits:
+        raise ValueError(f"the dimension has about {int(digits) + 1} decimal digits, too many to print")
     dim = weyl_dims.dim_local_weyl(t, table)
     try:
         str(dim)  # Python refuses more than sys.get_int_max_str_digits() digits

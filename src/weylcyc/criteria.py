@@ -5,7 +5,9 @@ parameter differences: if a_n - a_m avoids S(b_m, b_n) for every pair of
 positions m < n, the ordered tensor product V_{a_1}(omega_{b_1}) x ... is
 generated by the product of its top vectors.  Checking both orders of every
 pair upgrades this to an irreducibility test, which in type A is an exact
-equivalence.
+equivalence.  In types A-D every S-set is one or two arithmetic progressions
+of half-integers (`_progressions`): the criteria test membership by integer
+arithmetic on them and build no set, and `s_set` lists the members.
 
 For type C the S-sets are also derivable from the root sets T(i, r_j) of the
 rank-1 polynomials attached to the descent from a top vector to a lowest
@@ -18,7 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .drinfeld import (
     CRational,
@@ -46,9 +47,6 @@ class SSet:
 
     def sorted_values(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.values))
-
-    def __contains__(self, x) -> bool:
-        return x in self.values
 
 
 @dataclass(frozen=True)
@@ -98,66 +96,59 @@ class IrreducibilityVerdict:
 
 
 def s_set(data: CartanData, bm: int, bn: int) -> SSet:
-    """The forbidden-difference set S(b_m, b_n) for one ordered node pair."""
+    """The forbidden-difference set S(b_m, b_n) for one ordered node pair,
+    built from its progressions (`_progressions`), not cached."""
     l = data.type.rank
     if not (1 <= bm <= l and 1 <= bn <= l):
         raise ValueError(f"nodes ({bm},{bn}) out of range 1..{l}")
-    return _s_set_cached(data.type, bm, bn)
+    progs = _progressions(data.type, bm, bn)
+    return SSet(frozenset(Fraction(s + t * r, 2) for s, t, c in progs for r in range(c)))
 
 
-@lru_cache(maxsize=None)
-def _s_set_cached(lt: LieType, bm: int, bn: int) -> SSet:
-    l = lt.rank
-    family = lt.family
-    vals: set[Fraction] = set()
+def _progressions(lt: LieType, bm: int, bn: int) -> tuple[tuple[int, int, int], ...]:
+    """S(b_m, b_n) as one or two progressions: 2d = start + step * r, 0 <= r < count."""
+    l, family = lt.rank, lt.family
+    gap, lo = abs(bm - bn), min(bm, bn)
     if family == "A":
         # Symmetric in (bm, bn); the bound is min over the pair and its dual.
-        k_max = min(bm, bn, l - bm + 1, l - bn + 1)
-        half_gap = Fraction(abs(bn - bm), 2)
-        vals = {half_gap + k for k in range(1, k_max + 1)}
-    elif family == "B":
+        return ((gap + 2, 2, min(lo, l + 1 - max(bm, bn))),)
+    if family == "B":
         if bm < l and bn < l:
-            for r in range(min(bm, bn)):
-                vals.add(Fraction(abs(bm - bn) + 2 + 2 * r))
-                vals.add(Fraction(2 * l - (bm + bn) + 1 + 2 * r))
-        elif bm == l and bn < l:
-            vals = {Fraction(l - bn + 2 + 2 * r) for r in range(bn)}
-        elif bm < l and bn == l:
-            for r in range(bm):
-                vals.add(Fraction(l - bm + 1 + r))
-                vals.add(Fraction(l - bm + r))
-        else:
-            vals = {Fraction(2 * k + 1) for k in range(l)}
-    elif family == "C":
+            return (2 * gap + 4, 4, lo), (4 * l - 2 * (bm + bn) + 2, 4, lo)
+        if bm == l and bn < l:
+            return ((2 * (l - bn) + 4, 4, bn),)
+        if bm < l:
+            return ((2 * (l - bm), 2, bm + 1),)
+        return ((2, 4, l),)
+    if family == "C":
         if bm < l and bn < l:
-            for r in range(min(bm, bn)):
-                vals.add(Fraction(abs(bm - bn), 2) + 1 + r)
-                vals.add(Fraction(l + 2 + r) - Fraction(bm + bn, 2))
-        elif bm == l and bn < l:
-            for r in range(bn):
-                vals.add(Fraction(l - bn + 1, 2) + 1 + r)
-                vals.add(Fraction(l - bn - 1, 2) + 1 + r)
-        elif bm < l and bn == l:
-            vals = {Fraction(l - bm + 1, 2) + 2 + r for r in range(bm)}
-        else:
-            vals = {Fraction(k) for k in range(2, l + 2)}
-    else:  # D
-        spin = (l - 1, l)
-        lbar = 0 if l % 2 == 0 else 1
-        bm_spin, bn_spin = bm in spin, bn in spin
-        if not bm_spin and not bn_spin:
-            for r in range(min(bm, bn)):
-                vals.add(Fraction(abs(bm - bn), 2) + 1 + r)
-                vals.add(Fraction(l + r) - Fraction(bm + bn, 2))
-        elif bm_spin != bn_spin:
-            # Same set whichever spin node is involved and in either order.
-            b = bn if bm_spin else bm
-            vals = {Fraction(l - 1 - b, 2) + 1 + r for r in range(b)}
-        elif bm != bn:
-            vals = {Fraction(k) for k in range(2, l - 2 + lbar + 1, 2)}
-        else:
-            vals = {Fraction(k) for k in range(1, l - 1 - lbar + 1, 2)}
-    return SSet(frozenset(vals))
+            return (gap + 2, 2, lo), (2 * l + 4 - bm - bn, 2, lo)
+        if bm == l and bn < l:
+            return ((l - bn + 1, 2, bn + 1),)
+        if bm < l:
+            return ((l - bm + 5, 2, bm),)
+        return ((4, 2, l),)
+    spins = (bm >= l - 1) + (bn >= l - 1)  # D: the spin nodes are l - 1 and l
+    if not spins:
+        return (gap + 2, 2, lo), (2 * l - bm - bn, 2, lo)
+    if spins == 1:
+        # Same set whichever spin node and order: it reads the other node, lo.
+        return ((l - lo + 1, 2, lo),)
+    if bm != bn:
+        return ((4, 4, (l - 1) // 2),)
+    return ((2, 4, l // 2),)
+
+
+def _in_s_set(d: Fraction, progressions: tuple[tuple[int, int, int], ...]) -> bool:
+    """Whether d lies in the S-set of these `_progressions`, by integer arithmetic."""
+    if d.denominator > 2:
+        return False
+    twice = 2 * d.numerator // d.denominator
+    for start, step, count in progressions:
+        r = twice - start
+        if 0 <= r < step * count and not r % step:
+            return True
+    return False
 
 
 def t_set_C(data: CartanData, i: int, rj: int) -> TSet:
@@ -223,15 +214,16 @@ def _pair_scan(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
     with 0 < d <= W.  Positions are grouped by the exact imaginary part, each
     group is sorted by real part (ties in position order), and each entry
     walks forward through its group while d <= W, skipping d = 0.  For the
-    lower entry i and the upper entry j, d = a_j - a_i is looked up in
+    lower entry i and the upper entry j, d = a_j - a_i is tested against
     S(b_i, b_j): with i < j that is the pair (i, j) of is_cyclic, with i > j
-    the reversed pair that only both_orders reads.  The cost is the sorts,
-    O(k log k), plus one step per pair inside a window, where a loop over
-    all pairs forms k(k-1)/2 differences.
+    the reversed pair that only both_orders reads.  Membership is in closed
+    form (`_in_s_set` on the pair's `_progressions`); no set is built.  The
+    cost is the sorts, O(k log k), plus O(1) per pair inside a window at any
+    rank, where a loop over all pairs forms k(k-1)/2 differences.
     """
-    data = cartan_data(w.type)
-    window = _window(data)
+    window = _window(cartan_data(w.type))
     factors = w.factors
+    progressions = {}  # per node pair, for this call only
     groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
     for i, f in enumerate(factors):
         groups.setdefault(f.param.im, []).append((f.param.re, i))
@@ -247,7 +239,10 @@ def _pair_scan(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
                 if not d or (i > j and not both_orders):
                     continue
                 fi, fj = factors[i], factors[j]
-                if d in s_set(data, fi.node, fj.node):
+                nodes = fi.node, fj.node
+                if nodes not in progressions:
+                    progressions[nodes] = _progressions(w.type, *nodes)
+                if _in_s_set(d, progressions[nodes]):
                     violations.append(PairViolation(i + 1, j + 1, fj.param - fi.param, d))
     violations.sort(key=lambda v: (v.m, v.n))
     return tuple(violations)

@@ -8,6 +8,9 @@ oracle runs them, so they live beside the tests.
 - The local Weyl module of a root multiset, built as `factorize` builds it.
 - The truncated highest-weight series p(u+d)/p(u), the Drinfeld tuple of a
   word, and words and tuples translated by a constant.
+- The S-sets as the branch table the criteria read before their closed form,
+  the quadratic pair loops the criteria ran before their shared scan, and
+  words whose only violating pairs are planted.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, Sequence
 
 from weylcyc import (
@@ -23,7 +27,10 @@ from weylcyc import (
     FundamentalFactor,
     LieType,
     MonicPoly,
+    PairViolation,
     TensorWord,
+    cartan_data,
+    s_set,
     weyl_factorize,
     word_module,
 )
@@ -312,3 +319,144 @@ def shift_word(w: TensorWord, c: CRational) -> TensorWord:
     return TensorWord(
         w.type, tuple(FundamentalFactor(f.node, f.param + c) for f in w.factors)
     )
+
+
+# ---------------------------------------------------------------------------
+# The pairwise criteria: unoptimized references and planted words
+
+
+def s_set_table(lt: LieType, bm: int, bn: int) -> frozenset[Fraction]:
+    """S(b_m, b_n) from the branch table the criteria read before the closed
+    form of `criteria._progressions`."""
+    l = lt.rank
+    family = lt.family
+    vals: set[Fraction] = set()
+    if family == "A":
+        # Symmetric in (bm, bn); the bound is min over the pair and its dual.
+        k_max = min(bm, bn, l - bm + 1, l - bn + 1)
+        half_gap = Fraction(abs(bn - bm), 2)
+        vals = {half_gap + k for k in range(1, k_max + 1)}
+    elif family == "B":
+        if bm < l and bn < l:
+            for r in range(min(bm, bn)):
+                vals.add(Fraction(abs(bm - bn) + 2 + 2 * r))
+                vals.add(Fraction(2 * l - (bm + bn) + 1 + 2 * r))
+        elif bm == l and bn < l:
+            vals = {Fraction(l - bn + 2 + 2 * r) for r in range(bn)}
+        elif bm < l and bn == l:
+            for r in range(bm):
+                vals.add(Fraction(l - bm + 1 + r))
+                vals.add(Fraction(l - bm + r))
+        else:
+            vals = {Fraction(2 * k + 1) for k in range(l)}
+    elif family == "C":
+        if bm < l and bn < l:
+            for r in range(min(bm, bn)):
+                vals.add(Fraction(abs(bm - bn), 2) + 1 + r)
+                vals.add(Fraction(l + 2 + r) - Fraction(bm + bn, 2))
+        elif bm == l and bn < l:
+            for r in range(bn):
+                vals.add(Fraction(l - bn + 1, 2) + 1 + r)
+                vals.add(Fraction(l - bn - 1, 2) + 1 + r)
+        elif bm < l and bn == l:
+            vals = {Fraction(l - bm + 1, 2) + 2 + r for r in range(bm)}
+        else:
+            vals = {Fraction(k) for k in range(2, l + 2)}
+    else:  # D
+        spin = (l - 1, l)
+        lbar = 0 if l % 2 == 0 else 1
+        bm_spin, bn_spin = bm in spin, bn in spin
+        if not bm_spin and not bn_spin:
+            for r in range(min(bm, bn)):
+                vals.add(Fraction(abs(bm - bn), 2) + 1 + r)
+                vals.add(Fraction(l + r) - Fraction(bm + bn, 2))
+        elif bm_spin != bn_spin:
+            # Same set whichever spin node is involved and in either order.
+            b = bn if bm_spin else bm
+            vals = {Fraction(l - 1 - b, 2) + 1 + r for r in range(b)}
+        elif bm != bn:
+            vals = {Fraction(k) for k in range(2, l - 2 + lbar + 1, 2)}
+        else:
+            vals = {Fraction(k) for k in range(1, l - 1 - lbar + 1, 2)}
+    return frozenset(vals)
+
+
+def reference_cyclic_violations(w: TensorWord) -> tuple[PairViolation, ...]:
+    """The quadratic loop is_cyclic ran before the shared scan.  The S-set
+    of each node pair is built once per call (`s_set` keeps no cache)."""
+    data = cartan_data(w.type)
+    s_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
+    violations = []
+    factors = w.factors
+    for m in range(len(factors)):
+        for n in range(m + 1, len(factors)):
+            diff = factors[n].param - factors[m].param
+            if diff.is_real and diff.re > 0:  # every S-set member is positive (SSet)
+                nodes = factors[m].node, factors[n].node
+                if nodes not in s_sets:
+                    s_sets[nodes] = s_set(data, *nodes).values
+                if diff.re in s_sets[nodes]:
+                    violations.append(PairViolation(m + 1, n + 1, diff, diff.re))
+    return tuple(violations)
+
+
+def reference_irreducible_violations(w: TensorWord) -> tuple[PairViolation, ...]:
+    """The loop over all ordered pairs is_irreducible ran before the shared
+    scan, with the S-sets built once per call as above."""
+    data = cartan_data(w.type)
+    s_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
+    violations = []
+    factors = w.factors
+    for i in range(len(factors)):
+        for j in range(len(factors)):
+            if i == j:
+                continue
+            diff = factors[j].param - factors[i].param
+            if diff.is_real and diff.re > 0:
+                nodes = factors[i].node, factors[j].node
+                if nodes not in s_sets:
+                    s_sets[nodes] = s_set(data, *nodes).values
+                if diff.re in s_sets[nodes]:
+                    violations.append(PairViolation(i + 1, j + 1, diff, diff.re))
+    return tuple(violations)
+
+
+def planted_word(rng, lt, length, n_fwd, n_bwd, n_complex):
+    """A word whose only violating pairs are the planted ones, built as the
+    benchmark builds its pairwise_scan words.
+
+    Real parts sit on a grid spaced wider than twice the largest S-set
+    member, so no two grid points differ by a member and a point moved by a
+    member stays clear of every other.  A forward pair sets a_n = a_m + s
+    with s in S(b_m, b_n); a backward pair sets a_m = a_n + s with s in
+    S(b_n, b_m), seen only at (n, m).  Non-real parameters have distinct
+    imaginary parts.  Returns the word and the planted (m, n, member)
+    triples, forward and backward.
+    """
+    data = cartan_data(lt)
+    l = lt.rank
+    top = max(max(s_set(data, i, j).values) for i in range(1, l + 1) for j in range(1, l + 1))
+    spacing = 2 * ceil(top) + 1
+    nodes = [rng.randint(1, l) for _ in range(length)]
+    offset = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
+    re_parts = [spacing * s + offset for s in rng.sample(range(length), length)]
+    im_parts = [Fraction(0)] * length
+    positions = rng.sample(range(length), length)
+    for p, k in zip(positions[:n_complex], rng.sample(range(1, 40), n_complex)):
+        im_parts[p] = Fraction(rng.choice((-1, 1)) * k, 2)
+    free = positions[n_complex:]
+    fwd, bwd = [], []
+    for i in range(n_fwd + n_bwd):
+        m, n = sorted(free[2 * i : 2 * i + 2])
+        if i < n_fwd:
+            s = rng.choice(sorted(s_set(data, nodes[m], nodes[n]).values))
+            re_parts[n] = re_parts[m] + s
+            fwd.append((m + 1, n + 1, s))
+        else:
+            s = rng.choice(sorted(s_set(data, nodes[n], nodes[m]).values))
+            re_parts[m] = re_parts[n] + s
+            bwd.append((n + 1, m + 1, s))
+    factors = tuple(
+        FundamentalFactor(b, CRational(x, y)) for b, x, y in zip(nodes, re_parts, im_parts)
+    )
+    return TensorWord(lt, factors), sorted(fwd), sorted(bwd)

@@ -5,11 +5,13 @@ lines and timings.  All equality checks are exact (zero tolerance); the only
 bounds are the per-criterion runtime budgets.
 """
 
+import io
+import json
 import random
 import time
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
-from math import ceil
 
 import pytest
 
@@ -30,6 +32,8 @@ from weylcyc import (
     selftest,
     tensor,
 )
+from weylcyc.cli import main
+from weylcyc.drinfeld import word_to_dict
 from weylcyc.selftest import (
     a1_word,
     check_factorization_cyclicity,
@@ -48,6 +52,8 @@ from reference import (
     matmul,
     mode_operators,
     mu_series,
+    planted_word,
+    reference_irreducible_violations,
     shift_word,
     unit,
 )
@@ -276,47 +282,6 @@ def test_criterion_15_reducible_local_weyl_algebras():
             assert burnside_dim(local_weyl([cr(j) for j in range(k)])) == algebra
 
 
-def planted_word(rng, lt, length, n_fwd, n_bwd, n_complex):
-    """A word whose only violating pairs are the planted ones, built as the
-    benchmark builds its pairwise_scan words.
-
-    Real parts sit on a grid spaced wider than twice the largest S-set
-    member, so no two grid points differ by a member and a point moved by a
-    member stays clear of every other.  A forward pair sets a_n = a_m + s
-    with s in S(b_m, b_n); a backward pair sets a_m = a_n + s with s in
-    S(b_n, b_m), seen only at (n, m).  Non-real parameters have distinct
-    imaginary parts.  Returns the word and the planted (m, n, member)
-    triples, forward and backward.
-    """
-    data = cartan_data(lt)
-    l = lt.rank
-    top = max(max(s_set(data, i, j).values) for i in range(1, l + 1) for j in range(1, l + 1))
-    spacing = 2 * ceil(top) + 1
-    nodes = [rng.randint(1, l) for _ in range(length)]
-    offset = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
-    re_parts = [spacing * s + offset for s in rng.sample(range(length), length)]
-    im_parts = [Fraction(0)] * length
-    positions = rng.sample(range(length), length)
-    for p, k in zip(positions[:n_complex], rng.sample(range(1, 40), n_complex)):
-        im_parts[p] = Fraction(rng.choice((-1, 1)) * k, 2)
-    free = positions[n_complex:]
-    fwd, bwd = [], []
-    for i in range(n_fwd + n_bwd):
-        m, n = sorted(free[2 * i : 2 * i + 2])
-        if i < n_fwd:
-            s = rng.choice(sorted(s_set(data, nodes[m], nodes[n]).values))
-            re_parts[n] = re_parts[m] + s
-            fwd.append((m + 1, n + 1, s))
-        else:
-            s = rng.choice(sorted(s_set(data, nodes[n], nodes[m]).values))
-            re_parts[m] = re_parts[n] + s
-            bwd.append((n + 1, m + 1, s))
-    factors = tuple(
-        FundamentalFactor(b, CRational(x, y)) for b, x, y in zip(nodes, re_parts, im_parts)
-    )
-    return TensorWord(lt, factors), sorted(fwd), sorted(bwd)
-
-
 def test_criterion_16_long_word_scan_budget():
     # the budget fails a loop over all k(k-1)/2 pairs: about 10 s per call here
     rng = random.Random(116)
@@ -328,3 +293,35 @@ def test_criterion_16_long_word_scan_budget():
         assert [(v.m, v.n, v.member) for v in irr.evidence] == sorted(fwd + bwd)
         assert all(v.diff == cr(v.member) for v in cyc.violations + irr.evidence)
         assert irr.status is IrreducibilityStatus.NOT_GUARANTEED
+
+
+def test_criterion_17_check_cost_is_flat_in_the_rank():
+    # building an S-set of about l members per node pair, as the scan once
+    # did, took 22 s and 283 MB on this word
+    rng = random.Random(117)
+    lt = LieType("D", 1024)
+    w = TensorWord(lt, tuple(
+        FundamentalFactor(rng.randint(1, lt.rank), cr(Fraction(rng.randint(-100, 100), 2)))
+        for _ in range(100)
+    ))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with criterion(17, "100-factor D1024 word: check --irreducible in 1 s and 32 MB", 1):
+            with redirect_stdout(out):
+                code = main(["check", "--irreducible", "--word", json.dumps(word_to_dict(w))])
+            peak = tracemalloc.get_traced_memory()[1]
+            assert code == 0 and peak < 32 << 20, peak
+    finally:
+        tracemalloc.stop()
+    report = json.loads(out.getvalue())
+    assert report["status"] == "NotGuaranteed"
+    got = [(v["m"], v["n"], v["diff"], v["set_member"]) for v in report["violations"]]
+    # The reference builds every S-set it reads, which is the old cost, so it
+    # runs on the first 40 factors; their pairs are the word's pairs among them.
+    prefix = TensorWord(lt, w.factors[:40])
+    expected = reference_irreducible_violations(prefix)
+    assert [(m, n, d, s) for m, n, d, s in got if n <= 40 and m <= 40] == [
+        (v.m, v.n, str(v.diff), str(v.member)) for v in expected
+    ]
+    assert expected and len(got) > len(expected)

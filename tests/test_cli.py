@@ -1,10 +1,11 @@
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
 
-from weylcyc import selftest, sl2
+from weylcyc import selftest, sl2, weyl_dims
 from weylcyc.cli import MAX_FACTORIZE_ROOTS, MAX_ORACLE_FACTORS, MAX_RANK, main
 
 from test_readme import EXAMPLES
@@ -271,6 +272,22 @@ def test_dims_too_long_to_print_exit_one(capsys, argv, digits):
     assert err.startswith("weylcyc: error: ") and f"about {digits} decimal digits" in err
 
 
+def test_dims_far_past_the_print_limit_is_not_formed(capsys, monkeypatch):
+    # a root on every node of A1024; the exact product grows with the rank,
+    # and with 27 roots per node took 115 s to form
+    def fail(t, table):
+        raise AssertionError("dims formed the product")
+
+    l = 1024
+    monkeypatch.setattr(weyl_dims, "dim_local_weyl", fail)
+    code, out, err = run(capsys, "dims", "--tuple", json.dumps({"type": f"A{l}", "polys": [["0"]] * l}))
+    assert code == 1 and out == ""
+    digits = int(err.split("about ")[1].split()[0])
+    bits = math.prod(math.comb(l + 1, i) for i in range(1, l + 1)).bit_length()
+    # 2^(bits - 1) <= dim < 2^bits
+    assert int((bits - 1) * math.log10(2)) + 1 <= digits <= int(bits * math.log10(2)) + 1
+
+
 def test_dims_table_integer_too_long_to_read_exit_one(capsys):
     # json reads integers through int(), which refuses more digits than
     # sys.get_int_max_str_digits(), 4300 by default
@@ -332,10 +349,10 @@ TABLE_OVER = json.dumps({"type": f"C{OVER}", "dims": {}})
 @pytest.mark.parametrize(
     "argv, rank",
     [
-        # without the cap `check` builds and caches, per node pair, S-sets of
-        # about l members: a 100-factor D1024 word took 21 s and 268 MB
+        # the cap bounds the O(l) data every command reads: the Cartan
+        # record, the T-set, the built-in `dims` table of l binomials
         (["sets", "--type", "A100000", "--bm", "1", "--bn", "2"], 100000),
-        (["check", "--word", word_of_rank("D", 1000)], 1000),
+        (["check", "--word", word_of_rank("D", OVER)], OVER),
         (["dual", "--word", word_of_rank("B", OVER)], OVER),
         (["factorize", "--tuple", tuple_of_rank("A", OVER)], OVER),
         (["dims", "--tuple", tuple_of_rank("A", OVER)], OVER),

@@ -12,7 +12,6 @@ from weylcyc import (
     IrreducibilityStatus,
     LieType,
     MonicPoly,
-    PairViolation,
     TensorWord,
     cartan_data,
     criteria,
@@ -26,7 +25,14 @@ from weylcyc import (
 )
 from weylcyc.selftest import random_tuple
 
-from reference import shift_word, tuple_of_word
+from reference import (
+    planted_word,
+    reference_cyclic_violations,
+    reference_irreducible_violations,
+    s_set_table,
+    shift_word,
+    tuple_of_word,
+)
 
 
 def cr(re, im=0):
@@ -101,6 +107,55 @@ class TestSSetTables:
             s_set(d, 0, 1)
         with pytest.raises(ValueError):
             s_set(d, 1, 3)
+
+
+FAMILIES = [("A", 1), ("B", 2), ("C", 2), ("D", 3)]
+
+
+class TestClosedForm:
+    """`criteria._progressions` against the branch table it replaced."""
+
+    @pytest.mark.parametrize("family, lo", FAMILIES)
+    def test_progressions_build_s_set(self, family, lo):
+        for l in range(lo, 25):
+            lt = LieType(family, l)
+            data = cartan_data(lt)
+            for bm in range(1, l + 1):
+                for bn in range(1, l + 1):
+                    built = {
+                        Fraction(start + step * r, 2)
+                        for start, step, count in criteria._progressions(lt, bm, bn)
+                        for r in range(count)
+                    }
+                    assert built == s_set(data, bm, bn).values == s_set_table(lt, bm, bn)
+
+    @pytest.mark.parametrize("family, lo", FAMILIES)
+    def test_membership_equals_s_set(self, family, lo):
+        # d = k/2 and k/3 from -2 to 2l + 4: zero, negative, non-half-integer
+        for l in range(lo, 13):
+            lt = LieType(family, l)
+            data = cartan_data(lt)
+            top = 2 * l + 4
+            ds = {Fraction(k, den) for den in (2, 3) for k in range(-2 * den, top * den + 1)}
+            for bm in range(1, l + 1):
+                for bn in range(1, l + 1):
+                    progressions = criteria._progressions(lt, bm, bn)
+                    members = s_set(data, bm, bn).values
+                    for d in ds:
+                        assert criteria._in_s_set(d, progressions) == (d in members), (lt, bm, bn, d)
+
+    @pytest.mark.parametrize("family, l", [("A", 6), ("B", 6), ("C", 6), ("D", 7)])
+    def test_scan_builds_no_s_set(self, monkeypatch, family, l):
+        rng = random.Random(f"{family}{l}")
+        w, fwd, bwd = planted_word(rng, LieType(family, l), 60, 3, 3, 4)
+
+        def fail(*args):
+            raise AssertionError("the pair scan built an S-set")
+
+        monkeypatch.setattr(criteria, "s_set", fail)
+        monkeypatch.setattr(criteria, "SSet", fail)
+        assert [(v.m, v.n, v.member) for v in is_cyclic(w).violations] == fwd
+        assert [(v.m, v.n, v.member) for v in is_irreducible(w).evidence] == sorted(fwd + bwd)
 
 
 class TestTSets:
@@ -179,41 +234,9 @@ class TestIrreducibility:
         assert verdict.status is IrreducibilityStatus.NOT_GUARANTEED
 
 
-def reference_cyclic_violations(w):
-    """The quadratic loop is_cyclic ran before the shared scan."""
-    data = cartan_data(w.type)
-    violations = []
-    factors = w.factors
-    for m in range(len(factors)):
-        for n in range(m + 1, len(factors)):
-            diff = factors[n].param - factors[m].param
-            if diff.is_real:
-                forbidden = s_set(data, factors[m].node, factors[n].node)
-                if diff.re in forbidden:
-                    violations.append(PairViolation(m + 1, n + 1, diff, diff.re))
-    return tuple(violations)
-
-
-def reference_irreducible_violations(w):
-    """The loop over all ordered pairs is_irreducible ran before the shared scan."""
-    data = cartan_data(w.type)
-    violations = []
-    factors = w.factors
-    for i in range(len(factors)):
-        for j in range(len(factors)):
-            if i == j:
-                continue
-            diff = factors[j].param - factors[i].param
-            if diff.is_real:
-                forbidden = s_set(data, factors[i].node, factors[j].node)
-                if diff.re in forbidden:
-                    violations.append(PairViolation(i + 1, j + 1, diff, diff.re))
-    return tuple(violations)
-
-
 @st.composite
 def tensor_words(draw):
-    family, lo = draw(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 3)]))
+    family, lo = draw(st.sampled_from(FAMILIES))
     lt = LieType(family, draw(st.integers(lo, 6)))
     factor = st.builds(
         FundamentalFactor,
@@ -233,7 +256,7 @@ def dense_tensor_words(draw):
     (the largest S-set member), over 2-3 imaginary parts, with some
     parameters repeated exactly: many pairs fall inside each window, some at
     difference 0."""
-    family, lo = draw(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 3)]))
+    family, lo = draw(st.sampled_from(FAMILIES))
     lt = LieType(family, draw(st.integers(lo, 8)))
     data = cartan_data(lt)
     halves = int(6 * max(data.d) * data.kappa)  # 3W in steps of 1/2
@@ -285,14 +308,13 @@ class TestPairScanAgainstReference:
 
 
 class TestScanWindow:
-    @pytest.mark.parametrize("family, lo", [("A", 1), ("B", 2), ("C", 2), ("D", 3)])
+    @pytest.mark.parametrize("family, lo", FAMILIES)
     def test_window_is_the_largest_member(self, family, lo):
-        build = criteria._s_set_cached.__wrapped__  # uncached: no 20 MB of sets left behind
         for l in range(lo, 25):
             lt = LieType(family, l)
             data = cartan_data(lt)
             nodes = range(1, l + 1)
-            top = max(max(build(lt, bm, bn).values) for bm in nodes for bn in nodes)
+            top = max(max(s_set(data, bm, bn).values) for bm in nodes for bn in nodes)
             assert max(data.d) * data.kappa == top
             assert criteria._window(data) == max(data.d) * data.kappa
 
