@@ -2,6 +2,8 @@
 fundamental Yangian representations, with local Weyl module factorization and
 rank-1 matrix oracles."""
 
+import importlib
+
 from .criteria import (
     CyclicityReport,
     IrreducibilityStatus,
@@ -30,19 +32,37 @@ from .rootsys import (
     cartan_data,
     kappa,
 )
-from .sl2 import (
-    ExactMatrix,
-    Sl2Module,
-    burnside_dim,
-    hw_closure,
-    irrep_Wm,
-    tensor,
-    word_module,
-)
-from .weyl_dims import (
-    FundamentalDimTable,
-    builtin_table,
-    dim_local_weyl,
-)
+
+# The rank-1 engine and the dimension tables load on first use, so that a
+# command that runs neither does not import them (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        ("ExactMatrix", "Sl2Module", "burnside_dim", "hw_closure", "irrep_Wm", "tensor", "word_module"),
+        "sl2",
+    ),
+    **dict.fromkeys(("FundamentalDimTable", "builtin_table", "dim_local_weyl"), "weyl_dims"),
+}
+
+__all__ = [
+    "CyclicityReport", "IrreducibilityStatus", "IrreducibilityVerdict", "PairViolation", "SSet",
+    "TSet", "derive_s_from_t", "is_cyclic", "is_irreducible", "left_dual", "s_set", "t_set_C",
+    "weyl_factorize",
+    "CRational", "DrinfeldTuple", "FundamentalFactor", "MonicPoly", "TensorWord",
+    "CartanData", "LieType", "cartan_data", "kappa",
+    *_LAZY,
+]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

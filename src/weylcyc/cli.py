@@ -5,7 +5,8 @@ Each subcommand handler builds its report and returns it with the exit code;
 string-encoded rationals and sorted keys (indented under --pretty), and
 prints nothing on stdout when the handler raises.  Exit codes: 0 success,
 1 usage or parse error, 2 criterion violated / oracle mismatch (with
---assert) or a failed selftest.
+--assert) or a failed selftest.  A handler imports the rank-1 engine or
+the dimension tables itself, so the other commands never load them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import sys
 
-from . import criteria, selftest, sl2, weyl_dims
+from . import criteria
 from .drinfeld import (
     tuple_from_dict,
     tuple_to_dict,
@@ -37,9 +38,9 @@ MAX_ORACLE_FACTORS = 5
 # `check` tests S-set membership in closed form and `dims` sizes a result too
 # long to print from logarithms, so what grows with the rank l is O(l) data:
 # the Cartan record, the T-set of `sets --tset`, the built-in `dims` table of
-# l binomials.  In fresh processes at rank 4096 `dims` took 1.2-1.6 s (the
-# table alone 1.2 s, 0.02 s at 1024) and every other command at most 0.39 s,
-# `check` and `dual` on 100-factor words; none passed 24 MB (README, Notes).
+# l binomials.  In fresh processes at rank 4096 `dims` took 0.13-0.15 s and
+# every other command at most 0.39 s, `check` and `dual` on 100-factor words;
+# none passed 24 MB (README, Notes).
 MAX_RANK = 4096
 
 
@@ -163,6 +164,8 @@ def _cmd_factorize(args) -> tuple[dict, int]:
     report = {"tuple": tuple_to_dict(t), "word": word_to_dict(word)}
     if t.type == LieType("A", 1):
         _check_cap("factorize", len(word.factors), MAX_FACTORIZE_ROOTS, "roots")
+        from . import sl2
+
         module = sl2.word_module((1, f.param) for f in word.factors)
         rank, _ = sl2.hw_closure(module)
         report.update(
@@ -172,6 +175,8 @@ def _cmd_factorize(args) -> tuple[dict, int]:
 
 
 def _cmd_dims(args) -> tuple[dict, int]:
+    from . import weyl_dims
+
     t = _load(args.tuple, "tuple", tuple_from_dict)
     if args.table is not None:
         table = _load(args.table, "table", weyl_dims.table_from_dict)
@@ -204,11 +209,15 @@ def _cmd_sl2_oracle(args) -> tuple[dict, int]:
     if word.type != LieType("A", 1):
         raise ValueError(f"sl2-oracle requires type A1 words, got {word.type}")
     _check_cap("sl2-oracle", len(word.factors), MAX_ORACLE_FACTORS, "factors")
+    from . import selftest
+
     report = {"word": word_to_dict(word), **selftest.rank1_report(word)}
     return report, 2 if args.assert_ and not report["agree"] else 0
 
 
 def _cmd_selftest(args) -> tuple[dict, int]:
+    from . import selftest
+
     checks = [
         {"name": name, "passed": ok, "detail": detail}
         for name, ok, detail in selftest.run_all()

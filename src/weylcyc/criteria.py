@@ -27,20 +27,20 @@ from .drinfeld import (
     FundamentalFactor,
     TensorWord,
 )
-from .rootsys import CartanData, LieType, cartan_data
+from .rootsys import CartanData, LieType, Record, cartan_data
 
 
-@dataclass(frozen=True)
-class SSet:
+class SSet(Record):
     """Finite set of forbidden (real) parameter differences for a node pair.
 
     Every member is strictly positive; that positivity is what makes any
     ordering by non-increasing real part automatically cyclic.
     """
 
+    __slots__ = ("values",)
     values: frozenset[Fraction]
 
-    def __post_init__(self):
+    def _check(self):
         for v in self.values:
             if v <= 0:
                 raise ValueError(f"S-set member {v} is not positive")
@@ -49,8 +49,7 @@ class SSet:
         return tuple(sorted(self.values))
 
 
-@dataclass(frozen=True)
-class TSet:
+class TSet(Record):
     """Root set of the rank-1 polynomial attached to nodes (i, r_j), type C.
 
     Each entry (scale, shift) stands for the root scale * (a1 + shift), where
@@ -58,16 +57,17 @@ class TSet:
     for the sets T(i, l) attached to the long node.
     """
 
+    __slots__ = ("offsets",)
     offsets: frozenset[tuple[Fraction, Fraction]]
 
     def sorted_offsets(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(sorted(self.offsets))
 
 
-@dataclass(frozen=True)
-class PairViolation:
+class PairViolation(Record):
     """Positions (1-based), their parameter difference, and the set member hit."""
 
+    __slots__ = ("m", "n", "diff", "member")
     m: int
     n: int
     diff: CRational

@@ -8,11 +8,10 @@ polynomials are stored as root multisets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rootsys import LieType
+from .rootsys import LieType, Record
 
 
 class CRational:
@@ -26,6 +25,9 @@ class CRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("CRational is immutable")
+
+    def __reduce__(self):
+        return CRational, (self.re, self.im)
 
     @property
     def is_real(self) -> bool:
@@ -157,13 +159,13 @@ def _root_key(a: CRational):
     return (a.re, a.im)
 
 
-@dataclass(frozen=True)
-class MonicPoly:
+class MonicPoly(Record):
     """prod (u - a) over a root multiset; only the roots are ever stored."""
 
+    __slots__ = ("roots",)
     roots: tuple[CRational, ...]
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "roots", tuple(sorted(self.roots, key=_root_key)))
 
     @classmethod
@@ -182,14 +184,14 @@ class MonicPoly:
         return MonicPoly(self.roots + other.roots)
 
 
-@dataclass(frozen=True)
-class DrinfeldTuple:
+class DrinfeldTuple(Record):
     """l-tuple of monic polynomials indexing a highest weight."""
 
+    __slots__ = ("type", "polys")
     type: LieType
     polys: tuple[MonicPoly, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.polys) != self.type.rank:
             raise ValueError(
                 f"{self.type} needs {self.type.rank} polynomials, got {len(self.polys)}"
@@ -200,22 +202,22 @@ class DrinfeldTuple:
         return sum(p.degree for p in self.polys)
 
 
-@dataclass(frozen=True)
-class FundamentalFactor:
+class FundamentalFactor(Record):
     """One tensor factor: fundamental node and spectral parameter."""
 
+    __slots__ = ("node", "param")
     node: int
     param: CRational
 
 
-@dataclass(frozen=True)
-class TensorWord:
+class TensorWord(Record):
     """Ordered tensor product of fundamental factors."""
 
+    __slots__ = ("type", "factors")
     type: LieType
     factors: tuple[FundamentalFactor, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.factors:
             raise ValueError("tensor word must have at least one factor")
         for f in self.factors:

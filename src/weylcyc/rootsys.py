@@ -9,7 +9,6 @@ the weight lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,15 +16,79 @@ FAMILIES = ("A", "B", "C", "D")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class LieType:
+
+class Record:
+    """An immutable record whose fields are its `__slots__`, in order.
+
+    It behaves as a frozen dataclass with the same fields: construction by
+    position or keyword, then `_check` (which may raise or normalize a field
+    through `object.__setattr__`); `AttributeError` on assignment and
+    deletion; `==` only between records of the same class and a hash of the
+    field tuple; the dataclass repr.  `__reduce__` rebuilds it through the
+    constructor, so pickle and `copy.deepcopy` work.
+
+    The records a command builds use it, because every `weylcyc` process
+    would otherwise pay for generating each dataclass's methods.  Records
+    that `dataclasses` functions read (`CyclicityReport`,
+    `IrreducibilityVerdict`), and those of modules that load on first use
+    (`sl2`, `weyl_dims`), stay dataclasses.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            clash = given.keys() & kwargs.keys()
+            given.update(kwargs)
+            if len(args) > len(names) or clash or given.keys() != set(names):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields {', '.join(names)}, each once"
+                )
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self._check()
+
+    def _check(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LieType(Record):
     """One classical simple Lie algebra: family letter A/B/C/D and rank."""
 
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.rank < _MIN_RANK[self.family]:
@@ -55,8 +118,7 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Record):
     """What the criteria read about one classical type: the symmetrizers d,
     kappa, and the involution mapping node i to -w0(alpha_i).
 
@@ -64,6 +126,7 @@ class CartanData:
     letters, are not part of it: no criterion reads them.
     """
 
+    __slots__ = ("type", "d", "kappa", "involution")
     type: LieType
     d: tuple[int, ...]
     kappa: Fraction

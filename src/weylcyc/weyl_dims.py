@@ -9,7 +9,6 @@ the bound and the exact dimension coincide for the classical types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Mapping
 
 from .drinfeld import DrinfeldTuple, type_from_json
@@ -37,12 +36,18 @@ class FundamentalDimTable:
 
 
 def builtin_table(lt: LieType) -> FundamentalDimTable:
+    """Type A: dims[i] = C(l+1, i), each from the one before,
+    C(l+1, i) = C(l+1, i-1) (l+2-i) / i, so O(l) multiplications in all."""
     if lt.family != "A":
         raise ValueError(
             f"no built-in fundamental dimensions for {lt}; supply a user table"
         )
     l = lt.rank
-    return FundamentalDimTable(lt, {i: comb(l + 1, i) for i in range(1, l + 1)}, "builtin")
+    dims, binomial = {}, 1
+    for i in range(1, l + 1):
+        binomial = binomial * (l + 2 - i) // i
+        dims[i] = binomial
+    return FundamentalDimTable(lt, dims, "builtin")
 
 
 def table_from_dict(data: dict) -> FundamentalDimTable:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -105,3 +106,11 @@ def test_invariant_under_shift():
     t = DrinfeldTuple(lt, (poly(3), poly(1, 5)))
     shifted = shift_tuple(t, CRational(Fraction(-9, 4), Fraction(1, 3)))
     assert dim_local_weyl(t, table) == dim_local_weyl(shifted, table)
+
+
+def test_builtin_table_is_the_binomials():
+    # built by the recurrence C(l+1, i) = C(l+1, i-1) (l+2-i) / i
+    for l in range(1, 65):
+        assert builtin_table(LieType("A", l)).dims == {
+            i: math.comb(l + 1, i) for i in range(1, l + 1)
+        }
