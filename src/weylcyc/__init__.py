@@ -37,7 +37,7 @@ from .rootsys import (
 # command that runs neither does not import them (PEP 562).
 _LAZY = {
     **dict.fromkeys(
-        ("ExactMatrix", "Sl2Module", "burnside_dim", "hw_closure", "irrep_Wm", "tensor", "word_module"),
+        ("SparseMatrix", "Sl2Module", "burnside_dim", "hw_closure", "irrep_Wm", "tensor", "word_module"),
         "sl2",
     ),
     **dict.fromkeys(("FundamentalDimTable", "builtin_table", "dim_local_weyl"), "weyl_dims"),

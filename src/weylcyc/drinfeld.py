@@ -29,13 +29,6 @@ class CRational:
     def __reduce__(self):
         return CRational, (self.re, self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def conjugate(self) -> "CRational":
-        return CRational(self.re, -self.im)
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -67,38 +60,8 @@ class CRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero CRational")
-        return CRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return CRational(-self.re, -self.im)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -152,7 +115,6 @@ def _coerce(x):
 
 
 ZERO = CRational(0)
-ONE = CRational(1)
 
 
 def _root_key(a: CRational):
@@ -169,19 +131,12 @@ class MonicPoly(Record):
         object.__setattr__(self, "roots", tuple(sorted(self.roots, key=_root_key)))
 
     @classmethod
-    def one(cls) -> "MonicPoly":
-        return cls(())
-
-    @classmethod
     def from_roots(cls, roots: Iterable) -> "MonicPoly":
         return cls(tuple(a if type(a) is CRational else CRational(a) for a in roots))
 
     @property
     def degree(self) -> int:
         return len(self.roots)
-
-    def __mul__(self, other: "MonicPoly") -> "MonicPoly":
-        return MonicPoly(self.roots + other.roots)
 
 
 class DrinfeldTuple(Record):
@@ -196,10 +151,6 @@ class DrinfeldTuple(Record):
             raise ValueError(
                 f"{self.type} needs {self.type.rank} polynomials, got {len(self.polys)}"
             )
-
-    @property
-    def total_degree(self) -> int:
-        return sum(p.degree for p in self.polys)
 
 
 class FundamentalFactor(Record):
@@ -223,9 +174,6 @@ class TensorWord(Record):
         for f in self.factors:
             if not 1 <= f.node <= self.type.rank:
                 raise ValueError(f"node {f.node} out of range 1..{self.type.rank}")
-
-    def __len__(self) -> int:
-        return len(self.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A field is an echelon-form class, here `GaussianInt`, fraction-free over
 the Gaussian integers.  field(length) is an empty echelon form of vectors of
-that length, field.operator lifts an `sl2.ExactMatrix` into an op (a tuple of
-parts, each a list of (row, column, value) entries), field.apply applies an
+that length, field.operator reads an `sl2.SparseMatrix` as an op (a tuple
+of parts, each a list of (row, column, value) entries), field.apply applies an
 op to a vector, and field.unit builds a 0/1 seed vector.
 
 `saturate` closes the span of seeds under ops on a graded space: a direct
@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .drinfeld import ZERO, CRational
@@ -63,19 +63,14 @@ class GaussianInt:
 
     @staticmethod
     def operator(mat) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-        """mat times the lcm of its entries' denominators, as the nonzero
+        """The numerators of mat, an `sl2.SparseMatrix`, as the nonzero
         (row, column, value) entries of its real and of its imaginary part.
-        Scaling an operator by a nonzero constant leaves the spans it
-        saturates unchanged."""
-        entries = [(i, j, x) for i, row in enumerate(mat.rows) for j, x in row]
-        scale = lcm(*(part.denominator for _, _, x in entries for part in (x.re, x.im)))
-
-        def lifted(part: Fraction) -> int:
-            return part.numerator * (scale // part.denominator)
-
+        They are mat times its denominator, and scaling an operator by a
+        nonzero constant leaves the spans it saturates unchanged."""
+        entries = [(i, entry) for i, row in enumerate(mat.rows) for entry in row]
         return (
-            [(i, j, lifted(x.re)) for i, j, x in entries if x.re],
-            [(i, j, lifted(x.im)) for i, j, x in entries if x.im],
+            [(i, j, re) for i, (j, re, _) in entries if re],
+            [(i, j, im) for i, (j, _, im) in entries if im],
         )
 
     @staticmethod
@@ -209,7 +204,7 @@ def rank(echelons) -> int:
 
 
 class Split:
-    """Square matrices lifted by a field and cut into their pieces between
+    """Square matrices read by a field and cut into their pieces between
     blocks of basis indices, with a distinguished basis index top: the
     oracles' graded closures and algebra rank.
 

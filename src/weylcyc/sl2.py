@@ -7,6 +7,10 @@ x_{k+1}^± = ±(1/2)[hbar1, x_k^±] and h_k = [x_k^+, x0^-], so they span the
 same submodules and generate the same algebra as all modes.  The coproduct
 is explicit on this generating set, so tensor products are exact.
 
+Each generator is a `SparseMatrix`: Gaussian-integer numerators over one
+positive int denominator.  Modules are built on those ints, with no
+Fraction or CRational arithmetic; the oracles read the numerators.
+
 Two linear-algebra oracles decide structure: `hw_closure` computes the
 submodule generated by the top vector, and `burnside_dim` the dimension of
 the generated matrix algebra (full iff the module is irreducible over the
@@ -19,56 +23,56 @@ fraction-free elimination on Gaussian integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
+from math import gcd, lcm
 from typing import Iterable
 
-from .drinfeld import ZERO, CRational
+from .drinfeld import CRational
 from .echelon import GaussianInt, Split, rank
 
 
-Row = tuple[tuple[int, CRational], ...]
-
-
-def _minus_twice(x: CRational, y: CRational) -> CRational:
-    """-2 x y, with a single Fraction product when x and y are real, as the
-    entries of x0^± are."""
-    if x.im or y.im:
-        return x * y * -2
-    return CRational(-2 * (x.re * y.re), x.im)
-
-
-def _collect(pairs: Iterable[tuple[int, CRational]]) -> Row:
-    """Canonical row from (column, entry) pairs: repeated columns summed,
-    zero sums dropped, columns in increasing order."""
-    acc: dict[int, CRational] = {}
-    for j, x in pairs:
-        acc[j] = acc[j] + x if j in acc else x
-    return tuple((j, x) for j, x in sorted(acc.items()) if x)
+Row = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
-class ExactMatrix:
-    """Sparse square matrix of CRational entries, validated on construction.
+class SparseMatrix:
+    """Sparse square matrix of Gaussian rationals over one common
+    denominator, validated and reduced on construction.
 
-    Row i is the tuple of its nonzero (column, entry) pairs in increasing
-    column order.  The form is canonical, so == and hashing compare values.
-    The library builds matrices row by row and the oracles read the rows;
-    it does no matrix arithmetic.
+    Row i is the tuple of its nonzero (column, re, im) entries in increasing
+    column order, and entry (i, j) is (re + im i) / den.  The columns and
+    numerators are ints and den is a positive int.  Construction divides the
+    numerators and den by their common factor, so the form is canonical and
+    == and hashing compare values.  The library builds matrices row by row
+    and the oracles read the numerators; it does no matrix arithmetic.
     """
 
     rows: tuple[Row, ...]
+    den: int = 1
 
     def __post_init__(self):
-        n = len(self.rows)
+        n, den = len(self.rows), self.den
         if n == 0:
             raise ValueError("matrix must be square and nonempty")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"denominator must be a positive int, got {den!r}")
+        content = den
         for i, row in enumerate(self.rows):
             last = -1
-            for j, x in row:
-                if not (last < j < n and x):
+            for j, re, im in row:
+                if type(j) is not int or type(re) is not int or type(im) is not int:
+                    raise ValueError(f"row {i}: entry {(j, re, im)!r} is not three ints")
+                if not (last < j < n and (re or im)):
                     raise ValueError(f"row {i}: column {j} is out of order, out of range or zero")
                 last = j
+                if content != 1:
+                    content = gcd(content, re, im)
+        if content != 1:
+            rows = tuple(
+                tuple((j, re // content, im // content) for j, re, im in row) for row in self.rows
+            )
+            object.__setattr__(self, "rows", rows)
+            object.__setattr__(self, "den", den // content)
 
     @property
     def n(self) -> int:
@@ -84,15 +88,15 @@ class Sl2Module:
     the product of the factors' tops.
 
     The module is immutable, so its `Split` over `GaussianInt` (the
-    generators lifted and cut between weight spaces, and the closure of the
+    generators' numerators cut between weight spaces, and the closure of the
     top vector) is made at most once per module and kept with it.  It is not
     a field: equality and hashing see only the generators and top_index.
     """
 
-    xp: ExactMatrix
-    xm: ExactMatrix
-    h0: ExactMatrix
-    hbar1: ExactMatrix
+    xp: SparseMatrix
+    xm: SparseMatrix
+    h0: SparseMatrix
+    hbar1: SparseMatrix
     top_index: int
 
     @property
@@ -111,8 +115,10 @@ class Sl2Module:
         return _split(self, GaussianInt)
 
 
-def _diagonal(values: Iterable[CRational]) -> ExactMatrix:
-    return ExactMatrix(tuple(((s, x),) if x else () for s, x in enumerate(values)))
+def _diagonal(values: Iterable[tuple[int, int]], den: int = 1) -> SparseMatrix:
+    """The diagonal matrix of the (re, im) numerators over den."""
+    rows = tuple(((s, re, im),) if re or im else () for s, (re, im) in enumerate(values))
+    return SparseMatrix(rows, den)
 
 
 def irrep_Wm(m: int, a) -> Sl2Module:
@@ -123,50 +129,91 @@ def irrep_Wm(m: int, a) -> Sl2Module:
         x_k^- w_s = (s+a-1)^k (m-s+1) w_{s-1},
         h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s,
     and the stored generators are the k=0 modes together with
-    hbar1 = h_1 - h_0^2/2.
+    hbar1 = h_1 - h_0^2/2.  The k=0 modes are integral; hbar1 is written
+    over the denominator lcm(2, den re a, den im a).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     a = a if type(a) is CRational else CRational(a)
+    den = lcm(2, a.re.denominator, a.im.denominator)
+    re = a.re.numerator * (den // a.re.denominator)
+    im = a.im.numerator * (den // a.im.denominator)
+    half = den // 2
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
     return Sl2Module(
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
-        xp=ExactMatrix(((),) + tuple(((s, CRational(s + 1)),) for s in range(m))),
-        xm=ExactMatrix(tuple(((s + 1, CRational(m - s)),) for s in range(m)) + ((),)),
-        h0=_diagonal(map(CRational, weights)),
-        # the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
+        xp=SparseMatrix(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
+        xm=SparseMatrix(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
+        h0=_diagonal((w, 0) for w in weights),
+        # den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
         # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
         hbar1=_diagonal(
-            CRational(w * a.re + Fraction(2 * s * (3 * s - 2 * m - 1) - w * w, 2), w * a.im)
-            for s, w in enumerate(weights)
+            (
+                (w * re + (2 * s * (3 * s - 2 * m - 1) - w * w) * half, w * im)
+                for s, w in enumerate(weights)
+            ),
+            den,
         ),
         top_index=m,
     )
 
 
+def _summed(entries: list[tuple[int, int, int]]) -> Row:
+    """Canonical row from nonzero (column, re, im) entries: repeated columns
+    summed, zero sums dropped, columns in increasing order."""
+    if len(entries) < 2:
+        return tuple(entries)
+    entries.sort()
+    if len({entry[0] for entry in entries}) == len(entries):
+        return tuple(entries)
+    row = []
+    for entry in entries:
+        if row and row[-1][0] == entry[0]:
+            j, re, im = row.pop()
+            re, im = re + entry[1], im + entry[2]
+            if re or im:
+                row.append((j, re, im))
+        else:
+            row.append(entry)
+    return tuple(row)
+
+
+def _scaled(rows, by: int, nb: int = 1) -> list[list[tuple[int, int, int]]]:
+    """rows with each column times nb and each numerator times by."""
+    return [[(j * nb, by * re, by * im) for j, re, im in row] for row in rows]
+
+
 def _coproduct(
-    a: ExactMatrix, b: ExactMatrix, cross: tuple[ExactMatrix, ExactMatrix] | None = None
-) -> ExactMatrix:
-    """a x 1 + 1 x b, less 2 c x d when cross = (c, d), built row by row.
+    a: SparseMatrix, b: SparseMatrix, cross: tuple[SparseMatrix, SparseMatrix] | None = None
+) -> SparseMatrix:
+    """a x 1 + 1 x b, less 2 c x d when cross = (c, d), built row by row on
+    the numerators over the denominator lcm(den a, den b, den c den d).
 
     Row (i1, i2) of the combined basis, left index slowest, is
     a[i1] x e_i2 + e_i1 x b[i2] (- 2 c[i1] x d[i2]).
     """
     nb = b.n
+    den = lcm(a.den, b.den)
+    if cross:
+        c, d = cross
+        den = lcm(den, c.den * d.den)
+        rows_c = _scaled(c.rows, -2 * (den // (c.den * d.den)), nb)
+    rows_a = _scaled(a.rows, den // a.den, nb)
+    rows_b = _scaled(b.rows, den // b.den)
     rows = []
-    for i1, ra in enumerate(a.rows):
+    for i1, ra in enumerate(rows_a):
         base = i1 * nb
-        for i2, rb in enumerate(b.rows):
-            pairs = [(j1 * nb + i2, x) for j1, x in ra]
-            pairs += [(base + j2, y) for j2, y in rb]
-            if cross is not None:
-                pairs += [
-                    (j1 * nb + j2, _minus_twice(x, y))
-                    for j1, x in cross[0].rows[i1]
-                    for j2, y in cross[1].rows[i2]
-                ]
-            rows.append(_collect(pairs))
-    return ExactMatrix(tuple(rows))
+        rc = rows_c[i1] if cross else ()
+        for i2, rb in enumerate(rows_b):
+            entries = [(j + i2, re, im) for j, re, im in ra]
+            for j2, re, im in rb:
+                entries.append((base + j2, re, im))
+            for j, p, q in rc:
+                for j2, r, s in d.rows[i2]:
+                    # (p + q i)(r + s i) = (pr - qs) + (ps + qr) i
+                    entries.append((j + j2, p * r - q * s, p * s + q * r))
+            rows.append(_summed(entries))
+    return SparseMatrix(tuple(rows), den)
 
 
 def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
@@ -174,7 +221,9 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
 
     x0^±, h0 act as op x 1 + 1 x op; hbar1 picks up the correction
     -2 x0^- x x0^+.  The combined basis orders the left index slowest, and the
-    top is the product of tops.  Each generator is built in one pass.
+    top is the product of tops.  Each generator is built in one pass on its
+    numerators.  hbar1 takes one denominator for all three terms, since the
+    hbar1 of a product adds the hbar1 of its factors.
     """
     return Sl2Module(
         xp=_coproduct(m1.xp, m2.xp),
@@ -199,7 +248,7 @@ def _split(module: Sl2Module, field) -> Split:
         if len(row) > 1 or (row and row[0][0] != i):
             generators = (module.xp, module.xm, module.h0, module.hbar1)
             return Split(field, generators, [list(range(module.dim))], top)
-        groups.setdefault(row[0][1] if row else ZERO, []).append(i)
+        groups.setdefault(row[0][1:] if row else (0, 0), []).append(i)
     return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()), top)
 
 

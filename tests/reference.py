@@ -1,8 +1,14 @@
 """References the tests check weylcyc against.  No command, criterion or
 oracle runs them, so they live beside the tests.
 
-- The exact matrix algebra on `ExactMatrix`, as free functions;
-  test_sl2 checks it against a dense list-of-lists reference.
+- The arithmetic on `CRational` and the records that no command uses:
+  division, powers, the conjugate, the product of monic polynomials.
+- The exact matrix algebra on `ExactMatrix`, sparse matrices of `CRational`
+  entries, as free functions; test_sl2 checks it against a dense
+  list-of-lists reference.
+- The rank-1 modules built on `ExactMatrix`, as `sl2` built them before it
+  built them on Gaussian-integer numerators, and the kron-based tensor
+  product; the converters between `ExactModule` and `sl2.Sl2Module`.
 - The rank-1 Yangian: the mode ladder with its closed basis action, the
   defining-relation checker and the spectral shift.
 - The local Weyl module of a root multiset, built as `factorize` builds it.
@@ -18,7 +24,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from functools import reduce
+from math import ceil, lcm
 from typing import Iterable, Sequence
 
 from weylcyc import (
@@ -34,9 +41,10 @@ from weylcyc import (
     weyl_factorize,
     word_module,
 )
-from weylcyc.drinfeld import ONE, ZERO
-from weylcyc.sl2 import ExactMatrix, Sl2Module, _collect
+from weylcyc.drinfeld import ZERO
+from weylcyc.sl2 import Sl2Module, SparseMatrix
 
+ONE = CRational(1)
 HALF = CRational(Fraction(1, 2))
 
 
@@ -51,7 +59,91 @@ def unit(n, i):
 
 
 # ---------------------------------------------------------------------------
+# CRational arithmetic and records that no command uses
+
+
+def is_real(x: CRational) -> bool:
+    return not x.im
+
+
+def conjugate(x: CRational) -> CRational:
+    return CRational(x.re, -x.im)
+
+
+def divide(x, y) -> CRational:
+    """x / y for Gaussian rationals (or anything CRational accepts)."""
+    x, y = exact(x), exact(y)
+    norm = y.re * y.re + y.im * y.im
+    if not norm:
+        raise ZeroDivisionError("division by zero CRational")
+    return CRational((x.re * y.re + x.im * y.im) / norm, (x.im * y.re - x.re * y.im) / norm)
+
+
+def power(x, n: int) -> CRational:
+    """x ** n for n >= 0, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative powers not supported")
+    out, base = ONE, exact(x)
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def poly_one() -> MonicPoly:
+    """The constant polynomial 1, with no roots."""
+    return MonicPoly(())
+
+
+def poly_mul(p: MonicPoly, q: MonicPoly) -> MonicPoly:
+    return MonicPoly(p.roots + q.roots)
+
+
+def total_degree(t: DrinfeldTuple) -> int:
+    return sum(p.degree for p in t.polys)
+
+
+# ---------------------------------------------------------------------------
 # Matrix algebra on the sparse rows of `ExactMatrix`
+
+Row = tuple[tuple[int, CRational], ...]
+
+
+@dataclass(frozen=True)
+class ExactMatrix:
+    """Sparse square matrix of CRational entries, validated on construction.
+
+    Row i is the tuple of its nonzero (column, entry) pairs in increasing
+    column order.  The form is canonical, so == and hashing compare values.
+    """
+
+    rows: tuple[Row, ...]
+
+    def __post_init__(self):
+        n = len(self.rows)
+        if n == 0:
+            raise ValueError("matrix must be square and nonempty")
+        for i, row in enumerate(self.rows):
+            last = -1
+            for j, x in row:
+                if not (last < j < n and x):
+                    raise ValueError(f"row {i}: column {j} is out of order, out of range or zero")
+                last = j
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+
+def _collect(pairs: Iterable[tuple[int, CRational]]) -> Row:
+    """Canonical row from (column, entry) pairs: repeated columns summed,
+    zero sums dropped, columns in increasing order."""
+    acc: dict[int, CRational] = {}
+    for j, x in pairs:
+        acc[j] = acc[j] + x if j in acc else x
+    return tuple((j, x) for j, x in sorted(acc.items()) if x)
 
 
 def from_rows(rows: Sequence[Sequence]) -> ExactMatrix:
@@ -100,6 +192,18 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     )
 
 
+def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Kronecker product; the left factor index varies slowest."""
+    nb = b.n
+    return ExactMatrix(
+        tuple(
+            tuple((j1 * nb + j2, x * y) for j1, x in ra for j2, y in rb)
+            for ra in a.rows
+            for rb in b.rows
+        )
+    )
+
+
 def apply(a: ExactMatrix, vec: Sequence[CRational]) -> list[CRational]:
     return [sum((x * vec[j] for j, x in row if vec[j]), ZERO) for row in a.rows]
 
@@ -117,6 +221,161 @@ def anticommutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Rank-1 modules on `ExactMatrix`, and the converters to `sl2.Sl2Module`
+
+GENERATORS = ("xp", "xm", "h0", "hbar1")
+
+
+@dataclass(frozen=True)
+class ExactModule:
+    """The four generators of a rank-1 module as `ExactMatrix`es, with the
+    top index: the form `sl2.Sl2Module` had before it held numerators over
+    a denominator."""
+
+    xp: ExactMatrix
+    xm: ExactMatrix
+    h0: ExactMatrix
+    hbar1: ExactMatrix
+    top_index: int
+
+    def __post_init__(self):
+        n = self.xp.n
+        if not (self.xm.n == self.h0.n == self.hbar1.n == n):
+            raise ValueError("operator dimensions disagree")
+        if not 0 <= self.top_index < n:
+            raise ValueError("top index out of range")
+
+    @property
+    def dim(self) -> int:
+        return self.xp.n
+
+
+def exact_matrix(mat: SparseMatrix) -> ExactMatrix:
+    """mat with each numerator divided by its denominator."""
+    den = mat.den
+    return ExactMatrix(
+        tuple(
+            tuple((j, CRational(Fraction(re, den), Fraction(im, den))) for j, re, im in row)
+            for row in mat.rows
+        )
+    )
+
+
+def integral_matrix(mat: ExactMatrix) -> SparseMatrix:
+    """mat over the lcm of its entries' denominators, the lift
+    `GaussianInt.operator` made before the generators were built on
+    numerators."""
+    den = lcm(*(part.denominator for row in mat.rows for _, x in row for part in (x.re, x.im)))
+
+    def lifted(part: Fraction) -> int:
+        return part.numerator * (den // part.denominator)
+
+    return SparseMatrix(
+        tuple(tuple((j, lifted(x.re), lifted(x.im)) for j, x in row) for row in mat.rows), den
+    )
+
+
+def as_exact_module(module) -> ExactModule:
+    """module itself if it is an `ExactModule`, else `exact_module(module)`."""
+    return module if type(module) is ExactModule else exact_module(module)
+
+
+def exact_module(module: Sl2Module) -> ExactModule:
+    """The module with every generator divided by its denominator."""
+    return ExactModule(*(exact_matrix(getattr(module, g)) for g in GENERATORS), module.top_index)
+
+
+def integral_module(module: ExactModule) -> Sl2Module:
+    """The module with every generator over the lcm of its entries'
+    denominators, for the oracles."""
+    return Sl2Module(*(integral_matrix(getattr(module, g)) for g in GENERATORS), module.top_index)
+
+
+def _diagonal(values: Iterable[CRational]) -> ExactMatrix:
+    return ExactMatrix(tuple(((s, x),) if x else () for s, x in enumerate(values)))
+
+
+def exact_irrep_Wm(m: int, a) -> ExactModule:
+    """`irrep_Wm` as it was built on CRational entries."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    a = exact(a)
+    weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
+    return ExactModule(
+        xp=ExactMatrix(((),) + tuple(((s, CRational(s + 1)),) for s in range(m))),
+        xm=ExactMatrix(tuple(((s + 1, CRational(m - s)),) for s in range(m)) + ((),)),
+        h0=_diagonal(map(CRational, weights)),
+        hbar1=_diagonal(
+            CRational(w * a.re + Fraction(2 * s * (3 * s - 2 * m - 1) - w * w, 2), w * a.im)
+            for s, w in enumerate(weights)
+        ),
+        top_index=m,
+    )
+
+
+def _minus_twice(x: CRational, y: CRational) -> CRational:
+    """-2 x y, with a single Fraction product when x and y are real, as the
+    entries of x0^± are."""
+    if x.im or y.im:
+        return x * y * -2
+    return CRational(-2 * (x.re * y.re), x.im)
+
+
+def exact_coproduct(
+    a: ExactMatrix, b: ExactMatrix, cross: tuple[ExactMatrix, ExactMatrix] | None = None
+) -> ExactMatrix:
+    """a x 1 + 1 x b, less 2 c x d when cross = (c, d), built row by row on
+    CRational entries, as `sl2.tensor` built each generator."""
+    nb = b.n
+    rows = []
+    for i1, ra in enumerate(a.rows):
+        base = i1 * nb
+        for i2, rb in enumerate(b.rows):
+            pairs = [(j1 * nb + i2, x) for j1, x in ra]
+            pairs += [(base + j2, y) for j2, y in rb]
+            if cross is not None:
+                pairs += [
+                    (j1 * nb + j2, _minus_twice(x, y))
+                    for j1, x in cross[0].rows[i1]
+                    for j2, y in cross[1].rows[i2]
+                ]
+            rows.append(_collect(pairs))
+    return ExactMatrix(tuple(rows))
+
+
+def exact_tensor(m1: ExactModule, m2: ExactModule) -> ExactModule:
+    """`sl2.tensor` as it was built on CRational entries, one pass per
+    generator."""
+    return ExactModule(
+        xp=exact_coproduct(m1.xp, m2.xp),
+        xm=exact_coproduct(m1.xm, m2.xm),
+        h0=exact_coproduct(m1.h0, m2.h0),
+        hbar1=exact_coproduct(m1.hbar1, m2.hbar1, (m1.xm, m2.xp)),
+        top_index=m1.top_index * m2.dim + m2.top_index,
+    )
+
+
+def exact_word_module(factors: Iterable[tuple[int, object]]) -> ExactModule:
+    """`sl2.word_module` on CRational entries."""
+    return reduce(exact_tensor, [exact_irrep_Wm(m, a) for m, a in factors])
+
+
+def reference_tensor(m1, m2) -> ExactModule:
+    """The coproduct from Kronecker products and identity matrices, with the
+    sums, difference and scaling above, as `tensor` built it before it built
+    each generator in one pass."""
+    m1, m2 = as_exact_module(m1), as_exact_module(m2)
+    i1, i2 = identity(m1.dim), identity(m2.dim)
+    return ExactModule(
+        xp=add(kron(m1.xp, i2), kron(i1, m2.xp)),
+        xm=add(kron(m1.xm, i2), kron(i1, m2.xm)),
+        h0=add(kron(m1.h0, i2), kron(i1, m2.h0)),
+        hbar1=sub(add(kron(m1.hbar1, i2), kron(i1, m2.hbar1)), scale(kron(m1.xm, m2.xp), 2)),
+        top_index=m1.top_index * m2.dim + m2.top_index,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Rank-1 Yangian modes and relations
 
 
@@ -129,13 +388,15 @@ class ModeOperators:
     h: tuple[ExactMatrix, ...]
 
 
-def mode_operators(module: Sl2Module, cutoff: int) -> ModeOperators:
-    """Build all modes up to the cutoff from the generator matrices.
+def mode_operators(module, cutoff: int) -> ModeOperators:
+    """Build all modes up to the cutoff from the generator matrices of an
+    `ExactModule` or an `Sl2Module`.
 
     x_{k+1}^± = ±(1/2)(hbar1 x_k^± - x_k^± hbar1), h_k = x_k^+ x0^- - x0^- x_k^+.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
+    module = as_exact_module(module)
     xp = [module.xp]
     xm = [module.xm]
     for _ in range(cutoff):
@@ -153,17 +414,18 @@ def expected_modes(m, a, k):
     h = [[ZERO] * n for _ in range(n)]
     for s in range(n):
         if s + 1 < n:
-            xp[s + 1][s] = (a + s) ** k * CRational(s + 1)
+            xp[s + 1][s] = power(a + s, k) * CRational(s + 1)
         if s - 1 >= 0:
-            xm[s - 1][s] = (a + (s - 1)) ** k * CRational(m - s + 1)
-        h[s][s] = (a + (s - 1)) ** k * CRational(s * (m - s + 1)) - (
-            a + s
-        ) ** k * CRational((s + 1) * (m - s))
+            xm[s - 1][s] = power(a + (s - 1), k) * CRational(m - s + 1)
+        h[s][s] = power(a + (s - 1), k) * CRational(s * (m - s + 1)) - power(
+            a + s, k
+        ) * CRational((s + 1) * (m - s))
     return from_rows(xp), from_rows(xm), from_rows(h)
 
 
-def check_relations(module: Sl2Module, cutoff: int) -> list[str]:
-    """Evaluate the defining relations on all modes up to the cutoff.
+def check_relations(module, cutoff: int) -> list[str]:
+    """Evaluate the defining relations on all modes up to the cutoff, on an
+    `ExactModule` or an `Sl2Module`.
 
     Returns descriptions of every violated matrix identity (empty for a
     genuine module).  h-modes are derived up to 2*cutoff so that
@@ -172,6 +434,7 @@ def check_relations(module: Sl2Module, cutoff: int) -> list[str]:
     derived h_0 and h_1.
     """
     k = cutoff
+    module = as_exact_module(module)
     modes = mode_operators(module, 2 * k)
     xp, xm, h = modes.xp, modes.xm, modes.h
     null = zero(module.dim)
@@ -222,9 +485,12 @@ def apply_shift(module: Sl2Module, c) -> Sl2Module:
     """Pull back through the spectral-shift automorphism by c.
 
     On the generating set the shift fixes x0^±, h0 and sends hbar1 to
-    hbar1 + c * h0.
+    hbar1 + c * h0; the sum is taken on CRational entries and lifted.
     """
-    return dataclasses.replace(module, hbar1=add(module.hbar1, scale(module.h0, c)))
+    exact_form = exact_module(module)
+    return integral_module(
+        dataclasses.replace(exact_form, hbar1=add(exact_form.hbar1, scale(exact_form.h0, c)))
+    )
 
 
 def local_weyl(roots: Iterable) -> Sl2Module:
@@ -291,10 +557,10 @@ def mu_series(p: MonicPoly, d: int, order: int | None = None) -> LaurentSeries:
     dd = CRational(d)
     for a in p.roots:
         factor = [ONE]
-        power = ONE
+        a_k = ONE
         for _ in range(order):
-            factor.append(dd * power)
-            power = power * a
+            factor.append(dd * a_k)
+            a_k = a_k * a
         coeffs = _convolve(coeffs, factor, order + 1)
     return LaurentSeries(tuple(coeffs))
 
@@ -391,7 +657,7 @@ def reference_cyclic_violations(w: TensorWord) -> tuple[PairViolation, ...]:
     for m in range(len(factors)):
         for n in range(m + 1, len(factors)):
             diff = factors[n].param - factors[m].param
-            if diff.is_real and diff.re > 0:  # every S-set member is positive (SSet)
+            if is_real(diff) and diff.re > 0:  # every S-set member is positive (SSet)
                 nodes = factors[m].node, factors[n].node
                 if nodes not in s_sets:
                     s_sets[nodes] = s_set(data, *nodes).values
@@ -412,7 +678,7 @@ def reference_irreducible_violations(w: TensorWord) -> tuple[PairViolation, ...]
             if i == j:
                 continue
             diff = factors[j].param - factors[i].param
-            if diff.is_real and diff.re > 0:
+            if is_real(diff) and diff.re > 0:
                 nodes = factors[i].node, factors[j].node
                 if nodes not in s_sets:
                     s_sets[nodes] = s_set(data, *nodes).values

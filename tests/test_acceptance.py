@@ -53,6 +53,7 @@ from reference import (
     mode_operators,
     mu_series,
     planted_word,
+    power,
     reference_irreducible_violations,
     shift_word,
     unit,
@@ -106,7 +107,7 @@ def test_criterion_02_corollary_identities():
             w1 = unit(2, 1)
             x0m_w1 = apply(modes.xm[0], w1)
             for k in range(4):
-                scale = a**k
+                scale = power(a, k)
                 assert apply(modes.h[k], w1) == [scale * x for x in w1]
                 assert apply(modes.xm[k], w1) == [scale * x for x in x0m_w1]
                 assert apply(modes.h[k], x0m_w1) == [-scale * x for x in x0m_w1]

@@ -310,6 +310,68 @@ def test_sl2_oracle_agreement(capsys):
     assert report["agree"] is True
 
 
+def a1_word_json(*params):
+    return json.dumps({"type": "A1", "factors": [{"node": 1, "a": a} for a in params]}, separators=(",", ":"))
+
+
+def a1_tuple_json(*roots):
+    return json.dumps({"type": "A1", "polys": [list(roots)]}, separators=(",", ":"))
+
+
+# stdout of the rank-1 commands, frozen byte for byte: README's examples, a
+# complex-parameter input with distinct denominators, and reducible 3-factor
+# words (the second complex word has a pair of parameters 1 apart)
+FROZEN_RANK1_STDOUT = [
+    (
+        ["factorize", "--tuple", a1_tuple_json("0", "1", "2")],
+        '{"closure_dim": 8, "dim": 8, "full": true, "tuple": {"polys": [["0", "1", "2"]], "type": "A1"}, '
+        '"word": {"factors": [{"a": "2", "node": 1}, {"a": "1", "node": 1}, {"a": "0", "node": 1}], "type": "A1"}}\n',
+    ),
+    (
+        ["factorize", "--tuple", a1_tuple_json("1/3+1/5i", "4/3+1/5i", "2/7-3/11i")],
+        '{"closure_dim": 8, "dim": 8, "full": true, "tuple": {"polys": [["2/7-3/11i", "1/3+1/5i", "4/3+1/5i"]], '
+        '"type": "A1"}, "word": {"factors": [{"a": "4/3+1/5i", "node": 1}, {"a": "1/3+1/5i", "node": 1}, '
+        '{"a": "2/7-3/11i", "node": 1}], "type": "A1"}}\n',
+    ),
+    (
+        ["factorize", "--tuple", a1_tuple_json("0", "1", "5/2")],
+        '{"closure_dim": 8, "dim": 8, "full": true, "tuple": {"polys": [["0", "1", "5/2"]], "type": "A1"}, '
+        '"word": {"factors": [{"a": "5/2", "node": 1}, {"a": "1", "node": 1}, {"a": "0", "node": 1}], "type": "A1"}}\n',
+    ),
+    (
+        ["sl2-oracle", "--word", a1_word_json("0", "1")],
+        '{"agree": true, "burnside_dim": 13, "burnside_full": false, "closure_dim": 3, "criterion": "ReducibleProven", '
+        '"cyclic_guaranteed": false, "dim": 4, "full": false, '
+        '"word": {"factors": [{"a": "0", "node": 1}, {"a": "1", "node": 1}], "type": "A1"}}\n',
+    ),
+    (
+        ["sl2-oracle", "--word", a1_word_json("7/3+2/5i", "1/3+2/5i", "-5/7-1/11i")],
+        '{"agree": true, "burnside_dim": 64, "burnside_full": true, "closure_dim": 8, '
+        '"criterion": "IrreducibleGuaranteed", "cyclic_guaranteed": true, "dim": 8, "full": true, '
+        '"word": {"factors": [{"a": "7/3+2/5i", "node": 1}, {"a": "1/3+2/5i", "node": 1}, '
+        '{"a": "-5/7-1/11i", "node": 1}], "type": "A1"}}\n',
+    ),
+    (
+        ["sl2-oracle", "--word", a1_word_json("1/3+2/5i", "4/3+2/5i", "-5/7-1/11i")],
+        '{"agree": true, "burnside_dim": 52, "burnside_full": false, "closure_dim": 6, "criterion": "ReducibleProven", '
+        '"cyclic_guaranteed": false, "dim": 8, "full": false, '
+        '"word": {"factors": [{"a": "1/3+2/5i", "node": 1}, {"a": "4/3+2/5i", "node": 1}, '
+        '{"a": "-5/7-1/11i", "node": 1}], "type": "A1"}}\n',
+    ),
+    (
+        ["sl2-oracle", "--word", a1_word_json("0", "1", "5/2")],
+        '{"agree": true, "burnside_dim": 52, "burnside_full": false, "closure_dim": 6, "criterion": "ReducibleProven", '
+        '"cyclic_guaranteed": false, "dim": 8, "full": false, '
+        '"word": {"factors": [{"a": "0", "node": 1}, {"a": "1", "node": 1}, {"a": "5/2", "node": 1}], "type": "A1"}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", FROZEN_RANK1_STDOUT, ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_rank1_stdout_is_frozen(capsys, argv, stdout):
+    assert run(capsys, *argv) == (0, stdout, "")
+
+
 def test_factorize_over_the_cap_exit_one(capsys):
     roots = [str(k) for k in range(MAX_FACTORIZE_ROOTS + 1)]
     tup = json.dumps({"type": "A1", "polys": [roots]})

@@ -1,28 +1,40 @@
 import random
 from bisect import insort
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylcyc import CRational, ExactMatrix, burnside_dim, hw_closure, irrep_Wm, tensor, word_module
+from weylcyc import CRational, burnside_dim, hw_closure, irrep_Wm, tensor, word_module
 from weylcyc import echelon, selftest
 from weylcyc.echelon import GaussianInt, Split, rank, saturate
-from weylcyc.sl2 import Sl2Module, _split
+from weylcyc.sl2 import SparseMatrix, _split
 
 from reference import (
+    ExactMatrix,
+    ExactModule,
     add,
     apply,
     apply_shift,
+    as_exact_module,
     check_relations,
+    divide,
     entry,
+    exact_irrep_Wm,
+    exact_matrix,
+    exact_module,
+    exact_word_module,
     from_rows,
     identity,
+    integral_matrix,
+    integral_module,
+    kron,
     local_weyl,
     matmul,
     neg,
+    reference_tensor,
     scale,
     sub,
     unit,
@@ -74,34 +86,6 @@ def dense_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
-# Reference for `tensor`: the coproduct built from Kronecker products and
-# identity matrices, with the sums, difference and scaling of `reference`, as
-# `tensor` built it before it built each generator in one pass.
-
-
-def kron(a, b):
-    """Kronecker product of sparse matrices; the left factor index varies slowest."""
-    nb = b.n
-    return ExactMatrix(
-        tuple(
-            tuple((j1 * nb + j2, x * y) for j1, x in ra for j2, y in rb)
-            for ra in a.rows
-            for rb in b.rows
-        )
-    )
-
-
-def reference_tensor(m1, m2):
-    i1, i2 = identity(m1.dim), identity(m2.dim)
-    return Sl2Module(
-        xp=add(kron(m1.xp, i2), kron(i1, m2.xp)),
-        xm=add(kron(m1.xm, i2), kron(i1, m2.xm)),
-        h0=add(kron(m1.h0, i2), kron(i1, m2.h0)),
-        hbar1=sub(add(kron(m1.hbar1, i2), kron(i1, m2.hbar1)), scale(kron(m1.xm, m2.xp), 2)),
-        top_index=m1.top_index * m2.dim + m2.top_index,
-    )
-
-
 def reference_hbar1_diagonal(m, a):
     """The diagonal of hbar1 = h_1 - h_0^2/2 on W_m(a), chained from the
     closed formulas for h_1 and h_0 as `irrep_Wm` evaluated it before it
@@ -144,7 +128,7 @@ class ReferenceEchelon:
                 break
         else:
             return None
-        inv = CRational(1) / x
+        inv = divide(1, x)
         v = [inv * y if y else y for y in v]
         insort(self.rows, (lead, [(j, x) for j, x in enumerate(v) if x]), key=lambda r: r[0])
         return v
@@ -181,6 +165,9 @@ def reference_saturate(ops, seeds):
 
 
 def reference_generators(module):
+    """The sparse (row, column, entry) generators of an `ExactModule` or an
+    `Sl2Module`, on CRational entries."""
+    module = as_exact_module(module)
     return [
         [(i, j, x) for i, row in enumerate(g.rows) for j, x in row]
         for g in (module.xp, module.xm, module.h0, module.hbar1)
@@ -250,9 +237,11 @@ class ModP:
 
     @classmethod
     def operator(cls, mat):
-        """The nonzero entries of mat mod p as (row, column, value), in a
-        one-part tuple."""
-        lifted = ((i, j, cls.lift(x)) for i, row in enumerate(mat.rows) for j, x in row)
+        """The nonzero entries of the `SparseMatrix` mat mod p as (row,
+        column, value), in a one-part tuple.  The entries are reduced as
+        Gaussian rationals, so a denominator that p divides is not
+        reducible, as before the matrices held numerators."""
+        lifted = ((i, j, cls.lift(x)) for i, row in enumerate(exact_matrix(mat).rows) for j, x in row)
         return ([entry for entry in lifted if entry[2]],)
 
     @staticmethod
@@ -347,10 +336,91 @@ class TestSparseAgainstDense:
             from_rows([[1, 0]])
 
 
+class TestSparseMatrix:
+    """Validation and canonical form of the matrix type the modules store,
+    and the denominators the builders write."""
+
+    def test_rejects_malformed_input(self):
+        for rows in [
+            (((0, 0, 0),), ()),  # stored zero
+            (((1, 1, 0), (0, 1, 0)), ()),  # unsorted columns
+            (((0, 1, 0), (0, 2, 0)), ()),  # repeated column
+            (((2, 1, 0),), ()),  # column out of range
+            (((-1, 1, 0),), ()),
+            (((0, True, 0),), ()),  # a bool is not an int
+            (((0, 1, False),), ()),
+            (((0, Fraction(1, 2), 0),), ()),  # nor is a Fraction
+            (((0, 0, Fraction(2)),), ()),
+            (),  # empty
+        ]:
+            with pytest.raises(ValueError):
+                SparseMatrix(rows)
+        for den in (0, -3, True, Fraction(2), 2.0):
+            with pytest.raises(ValueError):
+                SparseMatrix((((0, 1, 0),),), den)
+
+    def test_reduced_by_the_content(self):
+        # the value is numerators / den, so 4/6 + 2/6 i is stored as 2/3 + 1/3 i
+        mat = SparseMatrix((((0, 4, 2),), ((1, -6, 0),)), 6)
+        assert mat.rows == (((0, 2, 1),), ((1, -3, 0),)) and mat.den == 3
+        assert mat == SparseMatrix((((0, 2, 1),), ((1, -3, 0),)), 3)
+        assert hash(mat) == hash(SparseMatrix((((0, 20, 10),), ((1, -30, 0),)), 30))
+        assert SparseMatrix(((), ()), 7).den == 1
+        assert exact_matrix(mat) == from_rows([[cr(Fraction(2, 3), Fraction(1, 3)), 0], [0, -1]])
+
+    @pytest.mark.parametrize(
+        "m, a, den",
+        [
+            # lcm(2, 7): the top entry is a - 1/2 = -3/14
+            (1, cr(Fraction(2, 7)), 14),
+            (3, cr(Fraction(1, 3), Fraction(1, 5)), 30),
+            (1, cr(Fraction(1, 1_000_003), Fraction(-2, 999_983)), 2 * 1_000_003 * 999_983),
+            # lcm(2, 3) = 6, over the content 2: for even m every entry of
+            # 2 hbar1 is even, s(3s-2m-1) - (2s-m)^2/2 being an integer
+            (2, cr(Fraction(1, 3)), 3),
+            # a = 1/2 makes hbar1 = diag(-1, 0) on W_1(1/2)
+            (1, cr(Fraction(1, 2)), 1),
+            (1, cr(0), 2),
+        ],
+    )
+    def test_hbar1_denominator_of_an_irrep(self, m, a, den):
+        module = irrep_Wm(m, a)
+        # built over lcm(2, den re a, den im a), then reduced by the content
+        assert lcm(2, a.re.denominator, a.im.denominator) % den == 0
+        assert module.hbar1.den == den
+        assert exact_module(module) == exact_irrep_Wm(m, a)
+
+    @given(
+        m=st.integers(1, 6),
+        a=st.builds(
+            CRational,
+            st.fractions(-5, 5, max_denominator=1_000_003),
+            st.fractions(-5, 5, max_denominator=1_000_003),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_integral_generators_have_denominator_one(self, m, a):
+        module = irrep_Wm(m, a)
+        assert module.xp.den == module.xm.den == module.h0.den == 1
+        assert lcm(2, a.re.denominator, a.im.denominator) % module.hbar1.den == 0
+        product = tensor(module, irrep_Wm(1, a + 1))
+        assert product.xp.den == product.xm.den == product.h0.den == 1
+
+    def test_hbar1_denominator_of_a_word(self):
+        # the factors' hbar1 have denominators 6, 10 and 14; the word's is
+        # their lcm, and 1/3 + 1/5 + 1/7 - 3/2 = -173/210 on the top vector
+        module = word_module([(1, cr(Fraction(1, 3))), (1, cr(Fraction(1, 5))), (1, cr(Fraction(1, 7)))])
+        assert [irrep_Wm(1, cr(Fraction(1, d))).hbar1.den for d in (3, 5, 7)] == [6, 10, 14]
+        assert module.hbar1.den == 210
+        assert module.xp.den == module.xm.den == module.h0.den == 1
+        top = module.top_index
+        assert entry(exact_matrix(module.hbar1), top, top) == cr(Fraction(-173, 210))
+
+
 class TestIrrep:
     def test_w1_matrices(self):
         a = cr(Fraction(2, 7))
-        m = irrep_Wm(1, a)
+        m = exact_module(irrep_Wm(1, a))
         assert m.h0 == from_rows([[-1, 0], [0, 1]])
         # x0- sends w1 to w0
         assert apply(m.xm, unit(2, 1)) == unit(2, 0)
@@ -358,16 +428,16 @@ class TestIrrep:
 
     def test_w1_hbar1_top_eigenvalue(self):
         a = cr(Fraction(2, 7))
-        m = irrep_Wm(1, a)
+        m = exact_module(irrep_Wm(1, a))
         assert apply(m.hbar1, unit(2, 1)) == [cr(0), a - cr(Fraction(1, 2))]
 
     def test_w2_lowering(self):
-        m = irrep_Wm(2, cr(Fraction(-1, 3)))
+        m = exact_module(irrep_Wm(2, cr(Fraction(-1, 3))))
         assert apply(m.xm, unit(3, 2)) == unit(3, 1)
         assert apply(m.xm, unit(3, 1)) == [cr(2), cr(0), cr(0)]
 
     def test_top_killed_by_raising(self):
-        m = irrep_Wm(3, cr(5))
+        m = exact_module(irrep_Wm(3, cr(5)))
         assert apply(m.xp, unit(4, 3)) == [cr(0)] * 4
 
     def test_rejects_m_zero(self):
@@ -387,7 +457,7 @@ class TestRelations:
         assert check_relations(prod, 3) == []
 
     def test_corrupted_module_fails(self):
-        m = irrep_Wm(1, cr(0))
+        m = exact_module(irrep_Wm(1, cr(0)))
         rows = [[entry(m.hbar1, i, j) for j in range(2)] for i in range(2)]
         rows[0][0] = rows[0][0] + cr(1)
         bad = type(m)(
@@ -439,11 +509,12 @@ class TestClosure:
 
 def direct_sum(m1, m2):
     """Block-diagonal module, top vector of the first summand on top."""
+    m1, m2 = exact_module(m1), exact_module(m2)
 
     def block(a, b):
         return ExactMatrix(a.rows + tuple(tuple((j + a.n, x) for j, x in row) for row in b.rows))
 
-    return Sl2Module(
+    return ExactModule(
         *(block(getattr(m1, g), getattr(m2, g)) for g in ("xp", "xm", "h0", "hbar1")),
         top_index=m1.top_index,
     )
@@ -453,7 +524,7 @@ def rebased(module, p, p_inv, top_index):
     """The module on the basis given by the columns of p."""
     p, p_inv = from_rows(p), from_rows(p_inv)
     assert matmul(p, p_inv) == identity(module.dim)
-    return Sl2Module(
+    return ExactModule(
         *(matmul(matmul(p_inv, getattr(module, g)), p) for g in ("xp", "xm", "h0", "hbar1")),
         top_index=top_index,
     )
@@ -545,7 +616,7 @@ class TestBurnside:
     def test_guard_failure_takes_exact_path(self, basis, saturation_lengths):
         module = rebased(direct_sum(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(3))), *basis, top_index=1)
         assert check_relations(module, 2) == []
-        assert burnside_dim(module) == reference_burnside_dim(module) == 8
+        assert burnside_dim(integral_module(module)) == reference_burnside_dim(module) == 8
         # no closure runs, only the column classes, together of length dim^2:
         # a diagonal h0 has two weight spaces of dimension 2, so two classes
         # of two weight blocks each; a non-diagonal h0 gives one block
@@ -637,7 +708,9 @@ gaussian_parameters = st.builds(CRational, big_denominator_fractions, big_denomi
 class TestFractionFreeAgainstReference:
     def test_lift_clears_denominators_and_keeps_direction(self):
         mat = from_rows([[cr(Fraction(1, 6), 2), 0], [cr(0, Fraction(-3, 4)), cr(5)]])
-        re_op, im_op = GaussianInt.operator(mat)
+        lifted = integral_matrix(mat)
+        assert lifted.den == 12 and exact_matrix(lifted) == mat
+        re_op, im_op = GaussianInt.operator(lifted)
         assert re_op == [(0, 0, 2), (1, 1, 60)]
         assert im_op == [(0, 0, 24), (1, 0, -9)]
 
@@ -707,15 +780,16 @@ def in_span(rows, vectors):
 
 @st.composite
 def hand_built_modules(draw, diagonal_h0):
-    """Modules of dim <= 5 with arbitrary sparse Gaussian-rational xp, xm and
-    hbar1, so not weight vectors, and an h0 that is either diagonal with a
-    repeated weight or not diagonal at all.  They satisfy no relation."""
+    """`ExactModule`s of dim <= 5 with arbitrary sparse Gaussian-rational xp,
+    xm and hbar1, so not weight vectors, and an h0 that is either diagonal
+    with a repeated weight or not diagonal at all.  They satisfy no
+    relation; `integral_module` makes them `Sl2Module`s for the oracles."""
     n = draw(st.integers(2, 5) if diagonal_h0 else st.integers(2, 4))
     entries = st.one_of(st.just(ZERO), gaussian)
     matrices = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     if diagonal_h0:
         weights = draw(
-            st.lists(st.sampled_from([ZERO, cr(2), cr(-1, 1)]), min_size=n, max_size=n)
+            st.lists(st.sampled_from([ZERO, cr(2), cr(-1, 1), cr(Fraction(1, 3))]), min_size=n, max_size=n)
             .filter(lambda w: len(set(w)) < n)
         )
         h0 = ExactMatrix(tuple(((i, w),) if w else () for i, w in enumerate(weights)))
@@ -723,7 +797,7 @@ def hand_built_modules(draw, diagonal_h0):
         h0 = from_rows(draw(matrices))
         assume(any(j != i for i, row in enumerate(h0.rows) for j, _ in row))
     xp, xm, hbar1 = (from_rows(draw(matrices)) for _ in range(3))
-    return Sl2Module(xp, xm, h0, hbar1, draw(st.integers(0, n - 1)))
+    return ExactModule(xp, xm, h0, hbar1, draw(st.integers(0, n - 1)))
 
 
 class TestWeightBlocksOnHandBuiltModules:
@@ -735,15 +809,17 @@ class TestWeightBlocksOnHandBuiltModules:
     @settings(max_examples=80, deadline=None)
     def test_graded_equals_reference(self, data, diagonal_h0):
         module = data.draw(hand_built_modules(diagonal_h0))
+        integral = integral_module(module)
+        assert exact_module(integral) == module
         expected = reference_burnside_dim(module)
-        assert _split(module, GaussianInt).algebra_rank() == expected
-        assert burnside_dim(module) == expected
+        assert _split(integral, GaussianInt).algebra_rank() == expected
+        assert burnside_dim(integral) == expected
         # the graded closure stores weight vectors and the reference the raw
         # images, so the echelon rows differ; the ranks and spans agree
-        rank, basis = hw_closure(module)
+        rank, basis = hw_closure(integral)
         ref_rank, ref_basis = reference_hw_closure(module)
         assert rank == ref_rank and in_span(ref_basis, basis)
-        blocks = _split(module, GaussianInt).blocks
+        blocks = _split(integral, GaussianInt).blocks
         weights = [entry(module.h0, i, i) for i in range(module.dim)]
         assert len(blocks) == (len(set(weights)) if diagonal_h0 else 1)
 
@@ -766,7 +842,7 @@ class TestGenericSplit:
             groups.setdefault(label, []).append(i)
         blocks = list(groups.values())
         top = data.draw(st.integers(0, n - 1))
-        split = Split(GaussianInt, mats, blocks, top)
+        split = Split(GaussianInt, [integral_matrix(mat) for mat in mats], blocks, top)
 
         ops = [[(i, j, x) for i, row in enumerate(g.rows) for j, x in row] for g in mats]
         ops += [[(i, i, CRational(1)) for i in block] for block in blocks]
@@ -786,35 +862,6 @@ gaussian_params = st.builds(
 irreps = st.builds(irrep_Wm, st.integers(1, 3), gaussian_params)
 
 
-class TestOnePassBuild:
-    """`irrep_Wm` and `tensor` against the constructions they replaced."""
-
-    @given(m=st.integers(1, 6), a=gaussian_params)
-    @settings(max_examples=60, deadline=None)
-    def test_hbar1_closed_form_equals_chained_formula(self, m, a):
-        diagonal = reference_hbar1_diagonal(m, a)
-        expected = [[x if i == j else ZERO for j in range(m + 1)] for i, x in enumerate(diagonal)]
-        assert irrep_Wm(m, a).hbar1 == from_rows(expected)
-
-    @given(
-        left=st.one_of(
-            irreps,
-            # tensor products have a non-diagonal hbar1, and the hand-built
-            # modules a non-diagonal h0
-            st.builds(reference_tensor, irreps, irreps),
-            hand_built_modules(diagonal_h0=False),
-        ),
-        right=st.one_of(irreps, hand_built_modules(diagonal_h0=False)),
-    )
-    @example(
-        left=tensor(irrep_Wm(1, cr(Fraction(1, 3), 2)), irrep_Wm(2, cr(-1, Fraction(1, 5)))),
-        right=irrep_Wm(3, cr(Fraction(5, 2), -1)),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_tensor_equals_kron_reference(self, left, right):
-        assert tensor(left, right) == reference_tensor(left, right)
-
-
 # (factors, closure rank, algebra dimension), frozen: README's sl2-oracle
 # example and the local Weyl module of 0, 1 of its Python snippet, then the
 # rank-deficient words of TestBurnside, then an irreducible word
@@ -826,6 +873,86 @@ FROZEN_ORACLE = [
     (((1, 0), (2, 1)), 4, 28),
     (((1, 2), (1, 0), (1, -3)), 8, 64),
 ]
+
+
+# Parameters whose parts have large coprime denominators as well as small
+# ones, so that the products' hbar1 carry large common denominators.
+coprime_fractions = st.builds(
+    Fraction,
+    st.integers(-6, 6),
+    st.sampled_from([1, 2, 3, 7, 999_983, 1_000_003]),
+)
+coprime_params = st.builds(CRational, coprime_fractions, coprime_fractions)
+words = st.lists(st.tuples(st.integers(1, 3), coprime_params), min_size=1, max_size=4)
+
+
+class TestOnePassBuild:
+    """`irrep_Wm`, `tensor` and `word_module` on numerators against the
+    constructions they replaced: the CRational one-pass build of
+    `reference`, and the coproduct from Kronecker products.  The CRational
+    build lifted by the lcm of each generator's denominators is the very
+    `Sl2Module` the numerators make, so the oracles see the same ints."""
+
+    @given(m=st.integers(1, 6), a=gaussian_params)
+    @settings(max_examples=60, deadline=None)
+    def test_hbar1_closed_form_equals_chained_formula(self, m, a):
+        diagonal = reference_hbar1_diagonal(m, a)
+        expected = [[x if i == j else ZERO for j in range(m + 1)] for i, x in enumerate(diagonal)]
+        assert exact_matrix(irrep_Wm(m, a).hbar1) == from_rows(expected)
+        assert exact_irrep_Wm(m, a).hbar1 == from_rows(expected)
+
+    @given(
+        left=st.one_of(
+            irreps,
+            # tensor products have a non-diagonal hbar1, and the hand-built
+            # modules a non-diagonal h0 and rational entries in all four
+            # generators
+            st.builds(tensor, irreps, irreps),
+            hand_built_modules(diagonal_h0=False).map(integral_module),
+        ),
+        right=st.one_of(irreps, hand_built_modules(diagonal_h0=False).map(integral_module)),
+    )
+    @example(
+        left=tensor(irrep_Wm(1, cr(Fraction(1, 3), 2)), irrep_Wm(2, cr(-1, Fraction(1, 5)))),
+        right=irrep_Wm(3, cr(Fraction(5, 2), -1)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tensor_equals_kron_reference(self, left, right):
+        assert exact_module(tensor(left, right)) == reference_tensor(left, right)
+
+    @given(factors=words)
+    @example(factors=[(1, cr(Fraction(1, 3))), (1, cr(Fraction(1, 5))), (1, cr(Fraction(1, 7)))])
+    @example(factors=[(3, cr(Fraction(1, 1_000_003), Fraction(-5, 999_983))), (2, cr(Fraction(3, 7), 1))])
+    @settings(max_examples=40, deadline=None)
+    def test_word_equals_crational_build(self, factors):
+        # dims up to 4^4 = 256; each factor, each partial product, the word
+        assume(prod(m + 1 for m, _ in factors) <= 64)
+        for m, a in factors:
+            assert exact_module(irrep_Wm(m, a)) == exact_irrep_Wm(m, a)
+        module = word_module(factors)
+        exact_form = exact_word_module(factors)
+        assert exact_module(module) == exact_form
+        assert integral_module(exact_form) == module
+        assert exact_module(integral_module(exact_form)) == exact_form
+
+    @staticmethod
+    def oracles(module):
+        return hw_closure(module), burnside_dim(module)
+
+    @pytest.mark.parametrize("factors, closure, algebra", FROZEN_ORACLE)
+    def test_oracles_equal_reference_path_on_frozen_words(self, factors, closure, algebra):
+        factors = [(m, cr(a)) for m, a in factors]
+        built = self.oracles(word_module(factors))
+        assert built == self.oracles(integral_module(exact_word_module(factors)))
+        assert built[0][0] == closure and built[1] == algebra
+
+    @given(factors=words)
+    @settings(max_examples=30, deadline=None)
+    def test_oracles_equal_reference_path(self, factors):
+        assume(prod(m + 1 for m, _ in factors) <= 16)
+        assert self.oracles(word_module(factors)) == self.oracles(
+            integral_module(exact_word_module(factors))
+        )
 
 
 class TestSharedLiftAndClosure:

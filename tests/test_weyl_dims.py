@@ -13,7 +13,7 @@ from weylcyc import (
 )
 from weylcyc.weyl_dims import FundamentalDimTable, table_from_dict
 
-from reference import local_weyl, shift_tuple
+from reference import local_weyl, poly_one, shift_tuple
 
 
 def poly(*roots):
@@ -36,13 +36,13 @@ def test_a2_product():
 
 def test_empty_tuple_dimension_one():
     lt = LieType("A", 3)
-    t = DrinfeldTuple(lt, (MonicPoly.one(),) * 3)
+    t = DrinfeldTuple(lt, (poly_one(),) * 3)
     assert dim_local_weyl(t, builtin_table(lt)) == 1
 
 
 def test_a3_single_middle_node():
     lt = LieType("A", 3)
-    t = DrinfeldTuple(lt, (MonicPoly.one(), poly(0), MonicPoly.one()))
+    t = DrinfeldTuple(lt, (poly_one(), poly(0), poly_one()))
     assert dim_local_weyl(t, builtin_table(lt)) == 6
 
 
@@ -56,13 +56,13 @@ def test_bound_always_attained():
 def test_missing_entry_raises():
     lt = LieType("C", 3)
     table = FundamentalDimTable(lt, {1: 6}, "user")
-    t = DrinfeldTuple(lt, (poly(0), poly(1), MonicPoly.one()))
+    t = DrinfeldTuple(lt, (poly(0), poly(1), poly_one()))
     with pytest.raises(ValueError, match="no entry for node 2"):
         dim_local_weyl(t, table)
 
 
 def test_type_mismatch_rejected():
-    t = DrinfeldTuple(LieType("A", 2), (poly(0), MonicPoly.one()))
+    t = DrinfeldTuple(LieType("A", 2), (poly(0), poly_one()))
     with pytest.raises(ValueError):
         dim_local_weyl(t, builtin_table(LieType("A", 3)))
 
@@ -75,7 +75,7 @@ def test_builtin_limited_to_type_a():
 def test_user_table_parse():
     table = table_from_dict({"type": "C3", "dims": {"1": 6, "2": 14, "3": 14}})
     assert table.source == "user"
-    t = DrinfeldTuple(LieType("C", 3), (poly(0), MonicPoly.one(), poly(1)))
+    t = DrinfeldTuple(LieType("C", 3), (poly(0), poly_one(), poly(1)))
     assert dim_local_weyl(t, table) == 6 * 14
 
 
