@@ -11,23 +11,24 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .rootsys import LieType, Record
+from .rootsys import LieType, Record, _set, require_int
 
 
-class CRational:
-    """A complex number with exact rational real and imaginary parts."""
+def _part(x) -> Fraction:
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"a part of a CRational must be an int or a Fraction, got {x!r}")
+
+
+class CRational(Record):
+    """A complex number with exact rational real and imaginary parts, each
+    given as an int or a Fraction (not a bool, a float or a string)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CRational is immutable")
-
-    def __reduce__(self):
-        return CRational, (self.re, self.im)
+        _set(self, "re", re if type(re) is Fraction else _part(re))
+        _set(self, "im", im if type(im) is Fraction else _part(im))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -72,8 +73,7 @@ class CRational:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    __hash__ = Record.__hash__  # defining __eq__ would otherwise unset it
 
     def __repr__(self):
         return f"CRational({self.re!r}, {self.im!r})"
@@ -109,7 +109,7 @@ class CRational:
 def _coerce(x):
     if type(x) is CRational:
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return CRational(x)
     return NotImplemented
 
@@ -128,7 +128,7 @@ class MonicPoly(Record):
     roots: tuple[CRational, ...]
 
     def _check(self):
-        object.__setattr__(self, "roots", tuple(sorted(self.roots, key=_root_key)))
+        _set(self, "roots", tuple(sorted(self.roots, key=_root_key)))
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "MonicPoly":
@@ -159,6 +159,9 @@ class FundamentalFactor(Record):
     __slots__ = ("node", "param")
     node: int
     param: CRational
+
+    def _check(self):
+        require_int(self.node, "node")
 
 
 class TensorWord(Record):

@@ -20,35 +20,36 @@ _set = object.__setattr__
 
 
 class Record:
-    """An immutable record whose fields are its `__slots__`, in order.
+    """An immutable record whose fields are its `__slots__` not starting with
+    `_`, in order.  A private slot or `"__dict__"` may hold a cache, which
+    ==, hash, repr and pickling skip.
 
     It behaves as a frozen dataclass with the same fields: construction by
-    position or keyword, then `_check` (which may raise or normalize a field
-    through `object.__setattr__`); `AttributeError` on assignment and
-    deletion; `==` only between records of the same class and a hash of the
-    field tuple; the dataclass repr.  `__reduce__` rebuilds it through the
-    constructor, so pickle and `copy.deepcopy` work.
+    position or keyword (or by a subclass's `__init__`), then `_check`
+    (which may raise or normalize a field through `_set`); `AttributeError`
+    on assignment and deletion; `==` only between records of the same class
+    and a hash of the field tuple; the dataclass repr.  `__reduce__`
+    rebuilds it through the constructor, so pickle and `copy.deepcopy` work.
 
-    The records a command builds use it, because every `weylcyc` process
-    would otherwise pay for generating each dataclass's methods.  Records
-    that `dataclasses` functions read (`CyclicityReport`,
-    `IrreducibilityVerdict`), and those of modules that load on first use
-    (`sl2`, `weyl_dims`), stay dataclasses.
+    Every record but the two criteria reports uses it, sparing each record
+    the generated dataclass methods; the reports stay dataclasses because
+    the benchmark's tests call `dataclasses.replace` on them.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._fields
         if kwargs or len(args) != len(names):
-            given = dict(zip(names, args))
-            clash = given.keys() & kwargs.keys()
-            given.update(kwargs)
-            if len(args) > len(names) or clash or given.keys() != set(names):
+            # the fields after the positional ones, by keyword
+            args += tuple([kwargs.pop(name) for name in names[len(args) :] if name in kwargs])
+            if kwargs or len(args) != len(names):
                 raise TypeError(
                     f"{type(self).__name__} takes the fields {', '.join(names)}, each once"
                 )
-            args = [given[name] for name in names]
         for name, value in zip(names, args):
             _set(self, name, value)
         self._check()
@@ -57,13 +58,13 @@ class Record:
         pass
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -74,11 +75,17 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def require_int(value, what: str) -> None:
+    """Raise ValueError unless value is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
 
 
 class LieType(Record):
@@ -91,6 +98,7 @@ class LieType(Record):
     def _check(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        require_int(self.rank, "rank")
         if self.rank < _MIN_RANK[self.family]:
             raise ValueError(
                 f"family {self.family} requires rank >= {_MIN_RANK[self.family]}, got {self.rank}"

@@ -22,20 +22,19 @@ fraction-free elimination on Gaussian integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm
 from typing import Iterable
 
 from .drinfeld import CRational
 from .echelon import GaussianInt, Split, rank
+from .rootsys import Record, _set, require_int
 
 
 Row = tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(Record):
     """Sparse square matrix of Gaussian rationals over one common
     denominator, validated and reduced on construction.
 
@@ -47,10 +46,14 @@ class SparseMatrix:
     and the oracles read the numerators; it does no matrix arithmetic.
     """
 
-    rows: tuple[Row, ...]
-    den: int = 1
+    __slots__ = ("rows", "den")
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[Row, ...], den: int = 1):
+        _set(self, "rows", rows)
+        _set(self, "den", den)
+        self._check()
+
+    def _check(self):
         n, den = len(self.rows), self.den
         if n == 0:
             raise ValueError("matrix must be square and nonempty")
@@ -71,16 +74,15 @@ class SparseMatrix:
             rows = tuple(
                 tuple((j, re // content, im // content) for j, re, im in row) for row in self.rows
             )
-            object.__setattr__(self, "rows", rows)
-            object.__setattr__(self, "den", den // content)
+            _set(self, "rows", rows)
+            _set(self, "den", den // content)
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class Sl2Module:
+class Sl2Module(Record):
     """Finite-dimensional module given by the four generator matrices.
 
     top_index points at the designated highest-weight candidate in the basis;
@@ -89,10 +91,11 @@ class Sl2Module:
 
     The module is immutable, so its `Split` over `GaussianInt` (the
     generators' numerators cut between weight spaces, and the closure of the
-    top vector) is made at most once per module and kept with it.  It is not
-    a field: equality and hashing see only the generators and top_index.
+    top vector) is made at most once per module and kept in its `__dict__`,
+    not a field: ==, hash, repr and pickling see the generators and top_index.
     """
 
+    __slots__ = ("xp", "xm", "h0", "hbar1", "top_index", "__dict__")
     xp: SparseMatrix
     xm: SparseMatrix
     h0: SparseMatrix
@@ -103,10 +106,11 @@ class Sl2Module:
     def dim(self) -> int:
         return self.xp.n
 
-    def __post_init__(self):
+    def _check(self):
         n = self.xp.n
         if not (self.xm.n == self.h0.n == self.hbar1.n == n):
             raise ValueError("operator dimensions disagree")
+        require_int(self.top_index, "top index")
         if not 0 <= self.top_index < n:
             raise ValueError("top index out of range")
 
@@ -132,6 +136,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     hbar1 = h_1 - h_0^2/2.  The k=0 modes are integral; hbar1 is written
     over the denominator lcm(2, den re a, den im a).
     """
+    require_int(m, "m")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     a = a if type(a) is CRational else CRational(a)
@@ -140,21 +145,21 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     im = a.im.numerator * (den // a.im.denominator)
     half = den // 2
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
-    return Sl2Module(
+    return Sl2Module(  # by position: a keyword call costs each build about 1 us
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
-        xp=SparseMatrix(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
-        xm=SparseMatrix(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
-        h0=_diagonal((w, 0) for w in weights),
-        # den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
+        SparseMatrix(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
+        SparseMatrix(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
+        _diagonal((w, 0) for w in weights),  # h0
+        # hbar1: den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
         # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
-        hbar1=_diagonal(
+        _diagonal(
             (
                 (w * re + (2 * s * (3 * s - 2 * m - 1) - w * w) * half, w * im)
                 for s, w in enumerate(weights)
             ),
             den,
         ),
-        top_index=m,
+        m,  # the top index
     )
 
 
@@ -226,11 +231,11 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
     hbar1 of a product adds the hbar1 of its factors.
     """
     return Sl2Module(
-        xp=_coproduct(m1.xp, m2.xp),
-        xm=_coproduct(m1.xm, m2.xm),
-        h0=_coproduct(m1.h0, m2.h0),
-        hbar1=_coproduct(m1.hbar1, m2.hbar1, (m1.xm, m2.xp)),
-        top_index=m1.top_index * m2.dim + m2.top_index,
+        _coproduct(m1.xp, m2.xp),
+        _coproduct(m1.xm, m2.xm),
+        _coproduct(m1.h0, m2.h0),
+        _coproduct(m1.hbar1, m2.hbar1, (m1.xm, m2.xp)),
+        m1.top_index * m2.dim + m2.top_index,
     )
 
 

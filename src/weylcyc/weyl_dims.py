@@ -8,26 +8,25 @@ the bound and the exact dimension coincide for the classical types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .drinfeld import DrinfeldTuple, type_from_json
-from .rootsys import LieType
+from .rootsys import LieType, Record
 
 
-@dataclass(frozen=True)
-class FundamentalDimTable:
+class FundamentalDimTable(Record):
     """Dimensions of the fundamental modules, per node.
 
     Built in knowledge covers type A only (dim V(omega_i) = C(l+1, i), which
     includes rank 1); other families must be supplied by the caller.
     """
 
+    __slots__ = ("type", "dims", "source")
     type: LieType
     dims: Mapping[int, int]
     source: str  # "builtin" or "user"
 
-    def __post_init__(self):
+    def _check(self):
         for node, value in self.dims.items():
             if not (1 <= node <= self.type.rank):
                 raise ValueError(f"table node {node} out of range 1..{self.type.rank}")

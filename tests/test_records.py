@@ -1,11 +1,15 @@
-"""The slotted records of the command path (`rootsys.Record`) keep the
-semantics of the frozen dataclasses they replaced, and every record, and
-`CRational`, survives pickle and `copy.deepcopy`."""
+"""The records (`rootsys.Record`) keep the semantics of the frozen
+dataclasses they replaced, every record and `CRational` survives pickle and
+`copy.deepcopy`, and the records reject a bool, float or string where they
+take an int or an exact number."""
 
+import ast
 import copy
 import dataclasses
+import operator
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +19,22 @@ from weylcyc import (
     CartanData,
     CRational,
     DrinfeldTuple,
+    FundamentalDimTable,
     FundamentalFactor,
     LieType,
     MonicPoly,
     PairViolation,
+    Sl2Module,
+    SparseMatrix,
     SSet,
     TensorWord,
     TSet,
     cartan_data,
+    hw_closure,
+    irrep_Wm,
     is_cyclic,
     is_irreducible,
+    word_module,
 )
 from weylcyc.rootsys import _MIN_RANK, FAMILIES
 
@@ -48,8 +58,27 @@ def tuples_of(lt):
     )
 
 
+def sparse_matrices(n):
+    entry = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+    row = st.dictionaries(st.integers(0, n - 1), entry, max_size=2).map(
+        lambda by_column: tuple((j, re, im) for j, (re, im) in sorted(by_column.items()))
+    )
+    return st.builds(SparseMatrix, st.tuples(*[row] * n), st.integers(1, 6))
+
+
+def sl2_modules(n):
+    matrix = sparse_matrices(n)
+    return st.builds(Sl2Module, matrix, matrix, matrix, matrix, st.integers(0, n - 1))
+
+
+def dim_tables(lt):
+    dims = st.dictionaries(st.integers(1, lt.rank), st.integers(1, 99), max_size=3)
+    return st.builds(FundamentalDimTable, st.just(lt), dims, st.sampled_from(["builtin", "user"]))
+
+
 words = lie_types.flatmap(words_of)
 drinfeld_tuples = lie_types.flatmap(tuples_of)
+sizes = st.integers(1, 3)
 
 RECORDS = {
     LieType: lie_types,
@@ -61,11 +90,14 @@ RECORDS = {
     SSet: st.frozensets(positive, max_size=6).map(SSet),
     TSet: st.frozensets(st.tuples(fractions, fractions), max_size=6).map(TSet),
     PairViolation: st.builds(PairViolation, st.integers(1, 9), st.integers(1, 9), params, positive),
+    SparseMatrix: sizes.flatmap(sparse_matrices),
+    Sl2Module: sizes.flatmap(sl2_modules),
+    FundamentalDimTable: lie_types.flatmap(dim_tables),
 }
 
 # The frozen dataclass each record was, with the same fields in the same order.
 DATACLASSES = {
-    cls: dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True) for cls in RECORDS
+    cls: dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True) for cls in RECORDS
 }
 
 records = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -73,7 +105,7 @@ quick = settings(max_examples=25, deadline=None)
 
 
 def values(record):
-    return tuple(getattr(record, name) for name in record.__slots__)
+    return tuple(getattr(record, name) for name in record._fields)
 
 
 @records
@@ -81,13 +113,23 @@ def values(record):
 @given(data=st.data())
 def test_equality_and_hash_follow_the_field_tuples(cls, data):
     a, b = data.draw(RECORDS[cls]), data.draw(RECORDS[cls])
+    twin, same = DATACLASSES[cls](*values(a)), cls(*values(a))
     assert (a == b) == (values(a) == values(b))
-    assert hash(a) == hash(values(a)) == hash(DATACLASSES[cls](*values(a)))
-    same = cls(*values(a))
-    assert same == a and hash(same) == hash(a)
+    assert same == a
     # never equal to another class, whatever its fields
     assert a != values(a)
-    assert a != DATACLASSES[cls](*values(a))
+    assert a != twin
+    if cls is FundamentalDimTable:  # it holds a dict, so neither side hashes
+        for record in (a, twin):
+            with pytest.raises(TypeError):
+                hash(record)
+    else:
+        assert hash(a) == hash(values(a)) == hash(twin) == hash(same)
+
+
+@pytest.mark.parametrize("cls", [*RECORDS, CRational], ids=lambda cls: cls.__name__)
+def test_no_record_is_a_dataclass(cls):
+    assert not dataclasses.is_dataclass(cls)
 
 
 @records
@@ -96,7 +138,7 @@ def test_equality_and_hash_follow_the_field_tuples(cls, data):
 def test_fields_cannot_be_assigned_or_deleted(cls, data):
     record = data.draw(RECORDS[cls])
     before = values(record)
-    for name in cls.__slots__:
+    for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
@@ -119,8 +161,8 @@ def test_repr_is_the_dataclass_repr(cls, data):
 @given(data=st.data())
 def test_keyword_and_positional_construction_agree(cls, data):
     record = data.draw(RECORDS[cls])
-    fields = dict(zip(cls.__slots__, values(record)))
-    first, *rest = cls.__slots__
+    fields = dict(zip(cls._fields, values(record)))
+    first, *rest = cls._fields
     assert cls(*values(record)) == cls(**fields) == record
     assert cls(fields[first], **{name: fields[name] for name in rest}) == record
     with pytest.raises(TypeError):
@@ -208,3 +250,88 @@ def test_crational_pickles_and_deepcopies():
     round_trips(z)
     with pytest.raises(AttributeError, match="immutable"):
         z.re = 0
+    for name in ("re", "im"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(z, name)
+    assert hash(z) == hash((Fraction(3, 2), Fraction(-1, 7)))
+
+
+@quick
+@given(factors=st.lists(st.tuples(st.integers(1, 2), fractions), min_size=1, max_size=2))
+def test_module_cache_is_not_a_field(factors):
+    closed, fresh = word_module(factors), word_module(factors)
+    hw_closure(closed)
+    assert "_weight_split" in closed.__dict__
+    assert closed == fresh and hash(closed) == hash(fresh) and repr(closed) == repr(fresh)
+    assert closed.__reduce__() == fresh.__reduce__()
+    assert not pickle.loads(pickle.dumps(closed)).__dict__
+    assert not copy.deepcopy(closed).__dict__
+
+
+def module_with_top(top):
+    m = irrep_Wm(1, 0)
+    return Sl2Module(m.xp, m.xm, m.h0, m.hbar1, top)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: CRational(0.1), id="CRational float"),
+        pytest.param(lambda: CRational(True), id="CRational bool"),
+        pytest.param(lambda: CRational("1/2"), id="CRational string"),
+        pytest.param(lambda: CRational(1, 0.5), id="CRational float im"),
+        pytest.param(lambda: CRational(im=False), id="CRational bool im"),
+        pytest.param(lambda: irrep_Wm(1, 0.1), id="irrep_Wm float a"),
+        pytest.param(lambda: word_module([(1, True)]), id="word_module bool a"),
+        pytest.param(lambda: MonicPoly.from_roots([Fraction(1), 0.5]), id="from_roots float"),
+        pytest.param(lambda: LieType("A", True), id="LieType bool rank"),
+        pytest.param(lambda: LieType("A", 2.0), id="LieType float rank"),
+        pytest.param(lambda: FundamentalFactor(True, CRational(0)), id="node bool"),
+        pytest.param(lambda: FundamentalFactor(1.0, CRational(0)), id="node float"),
+        pytest.param(lambda: irrep_Wm(True, 0), id="irrep_Wm bool m"),
+        pytest.param(lambda: irrep_Wm(2.0, 0), id="irrep_Wm float m"),
+        pytest.param(lambda: module_with_top(True), id="Sl2Module bool top"),
+        pytest.param(lambda: module_with_top(1.0), id="Sl2Module float top"),
+    ],
+)
+def test_bool_float_and_string_are_rejected(build):
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
+
+
+@pytest.mark.parametrize("other", [True, False, 0.5, 1.0])
+def test_crational_arithmetic_takes_no_bool_or_float(other):
+    z = CRational(1)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(z, other)
+        with pytest.raises(TypeError):
+            op(other, z)
+    assert z != other
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylcyc"
+
+
+def imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def test_only_criteria_imports_dataclasses():
+    """Every record derives from `rootsys.Record`, except the two criteria
+    reports, `CyclicityReport` and `IrreducibilityVerdict`.  They remain
+    dataclasses for one reason only: `bench/test_bench.py` calls
+    `dataclasses.replace` on them.  So no module of the package but
+    `criteria` imports `dataclasses`."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    importers = {
+        path.stem
+        for path in sources
+        if any(name.partition(".")[0] == "dataclasses" for name in imported_modules(path))
+    }
+    assert importers <= {"criteria"}
