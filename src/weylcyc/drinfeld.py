@@ -121,6 +121,15 @@ def _root_key(a: CRational):
     return (a.re, a.im)
 
 
+def _require_tuple_of(values, cls, what: str) -> None:
+    """Raise ValueError unless values is a tuple of cls instances."""
+    if type(values) is not tuple:
+        raise ValueError(f"{what} must be a tuple of {cls.__name__}, got a {type(values).__name__}")
+    for x in values:
+        if type(x) is not cls:
+            raise ValueError(f"{what} must be a tuple of {cls.__name__}, got {x!r} in it")
+
+
 class MonicPoly(Record):
     """prod (u - a) over a root multiset; only the roots are ever stored."""
 
@@ -128,6 +137,7 @@ class MonicPoly(Record):
     roots: tuple[CRational, ...]
 
     def _check(self):
+        _require_tuple_of(self.roots, CRational, "roots")
         _set(self, "roots", tuple(sorted(self.roots, key=_root_key)))
 
     @classmethod
@@ -147,6 +157,7 @@ class DrinfeldTuple(Record):
     polys: tuple[MonicPoly, ...]
 
     def _check(self):
+        _require_tuple_of(self.polys, MonicPoly, "polys")
         if len(self.polys) != self.type.rank:
             raise ValueError(
                 f"{self.type} needs {self.type.rank} polynomials, got {len(self.polys)}"
@@ -162,6 +173,8 @@ class FundamentalFactor(Record):
 
     def _check(self):
         require_int(self.node, "node")
+        if type(self.param) is not CRational:
+            raise ValueError(f"param must be a CRational, got {self.param!r}")
 
 
 class TensorWord(Record):
@@ -172,6 +185,7 @@ class TensorWord(Record):
     factors: tuple[FundamentalFactor, ...]
 
     def _check(self):
+        _require_tuple_of(self.factors, FundamentalFactor, "factors")
         if not self.factors:
             raise ValueError("tensor word must have at least one factor")
         for f in self.factors:

@@ -67,11 +67,14 @@ class GaussianInt:
         (row, column, value) entries of its real and of its imaginary part.
         They are mat times its denominator, and scaling an operator by a
         nonzero constant leaves the spans it saturates unchanged."""
-        entries = [(i, entry) for i, row in enumerate(mat.rows) for entry in row]
-        return (
-            [(i, j, re) for i, (j, re, _) in entries if re],
-            [(i, j, im) for i, (j, _, im) in entries if im],
-        )
+        re_op, im_op = [], []
+        for i, row in enumerate(mat.rows):
+            for j, re, im in row:
+                if re:
+                    re_op.append((i, j, re))
+                if im:
+                    im_op.append((i, j, im))
+        return re_op, im_op
 
     @staticmethod
     def apply(op, vec: tuple[list[int], list[int]], length: int) -> tuple[list[int], list[int]]:
@@ -94,8 +97,9 @@ class GaussianInt:
 
     def insert(self, vec: tuple[list[int], list[int]]):
         """Reduce vec against the rows; return the primitive residual (and
-        extend the span) or None if vec was already in the span."""
-        vr, vi = list(vec[0]), list(vec[1])
+        extend the span) or None if vec was already in the span.  Consumes
+        vec: its lists may be reduced in place, so the caller passes fresh ones."""
+        vr, vi = vec
         for pivot, lead, row_re, row_im in self.rows:
             cr, ci = vr[pivot], vi[pivot]
             if cr or ci:
@@ -143,14 +147,14 @@ class GaussianInt:
         """Each row divided by its lead, as (pivot, dense list of Gaussian
         rationals) in a space of the given length that holds column j of
         this echelon form at columns[j]."""
-        out = []
+        out, zero = [], Fraction(0)
         for pivot, lead, row_re, row_im in self.rows:
-            re, im = dict(row_re), dict(row_im)
+            re = {j: Fraction(x, lead) for j, x in row_re}
             v = [ZERO] * length
-            for j in re.keys() | im.keys():
-                v[columns[j]] = CRational(
-                    Fraction(re.get(j, 0), lead), Fraction(im.get(j, 0), lead)
-                )
+            for j, y in row_im:
+                v[columns[j]] = CRational(re.pop(j, zero), Fraction(y, lead))
+            for j, x in re.items():
+                v[columns[j]] = CRational(x, zero)
             out.append((columns[pivot], v))
         return out
 
@@ -165,21 +169,12 @@ def saturate(field, sizes: Sequence[int], ops, seeds) -> list:
     of block b is sent through each of them in turn.  Only residuals found in
     the previous round are pushed through the ops again, and ops into a block
     that is already full are skipped; the loop ends when a round finds
-    nothing new or the span fills the space.
+    nothing new or the span fills the space.  The seed vectors are consumed.
     """
     echelons = [field(size) for size in sizes]
     length = sum(sizes)
-    rank = 0
-
-    def insert(block: int, vec):
-        nonlocal rank
-        residual = echelons[block].insert(vec)
-        if residual is None:
-            return None
-        rank += 1
-        return block, residual
-
-    frontier = [r for r in (insert(*seed) for seed in seeds) if r is not None]
+    frontier = [(b, r) for b, vec in seeds if (r := echelons[b].insert(vec)) is not None]
+    rank = len(frontier)
     rounds = 0
     while frontier and rank < length:
         rounds += 1
@@ -188,10 +183,12 @@ def saturate(field, sizes: Sequence[int], ops, seeds) -> list:
         new = []
         for block, v in frontier:
             for target, op in ops[block]:
-                if echelons[target].rank < sizes[target]:
-                    residual = insert(target, field.apply(op, v, sizes[target]))
+                echelon, size = echelons[target], sizes[target]
+                if echelon.rank < size:
+                    residual = echelon.insert(field.apply(op, v, size))
                     if residual is not None:
-                        new.append(residual)
+                        new.append((target, residual))
+                        rank += 1
             if rank == length:
                 break
         frontier = new
@@ -220,18 +217,18 @@ class Split:
     def __init__(self, field, mats, blocks: list[list[int]], top: int):
         self.field, self.blocks, self.top = field, blocks, top
         self.sizes = [len(block) for block in blocks]
-        self.where = [(0, 0)] * sum(self.sizes)
+        self.where = where = [(0, 0)] * sum(self.sizes)
         for b, block in enumerate(blocks):
             for local, i in enumerate(block):
-                self.where[i] = (b, local)
+                where[i] = (b, local)
         self.pieces: list[tuple[int, int, tuple]] = []
         for mat in mats:
             op = field.operator(mat)
             cut: dict[tuple[int, int], tuple] = {}
             for p, part in enumerate(op):
                 for i, j, x in part:
-                    target, li = self.where[i]
-                    source, lj = self.where[j]
+                    target, li = where[i]
+                    source, lj = where[j]
                     piece = cut.get((source, target))
                     if piece is None:
                         piece = cut[source, target] = tuple([] for _ in op)

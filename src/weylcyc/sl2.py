@@ -36,14 +36,17 @@ Row = tuple[tuple[int, int, int], ...]
 
 class SparseMatrix(Record):
     """Sparse square matrix of Gaussian rationals over one common
-    denominator, validated and reduced on construction.
+    denominator, in canonical form.
 
     Row i is the tuple of its nonzero (column, re, im) entries in increasing
     column order, and entry (i, j) is (re + im i) / den.  The columns and
-    numerators are ints and den is a positive int.  Construction divides the
+    numerators are ints and den is a positive int.  The public constructor
+    `SparseMatrix(rows, den)` validates all of this and raises ValueError
+    otherwise; the builders of this module, which write that form row by
+    row, construct through `_canonical`, which does not.  Both divide the
     numerators and den by their common factor, so the form is canonical and
-    == and hashing compare values.  The library builds matrices row by row
-    and the oracles read the numerators; it does no matrix arithmetic.
+    == and hashing compare values.  The library does no matrix arithmetic;
+    the oracles read the numerators.
     """
 
     __slots__ = ("rows", "den")
@@ -53,29 +56,52 @@ class SparseMatrix(Record):
         _set(self, "den", den)
         self._check()
 
+    @classmethod
+    def _canonical(cls, rows: tuple[Row, ...], den: int = 1) -> "SparseMatrix":
+        """The matrix of rows over den, which the caller has written in the
+        form the class describes: no validation, only the content reduction."""
+        mat = cls.__new__(cls)
+        _set(mat, "rows", rows)
+        _set(mat, "den", den)
+        mat._reduce()
+        return mat
+
     def _check(self):
-        n, den = len(self.rows), self.den
-        if n == 0:
+        rows, den = self.rows, self.den
+        if type(rows) is not tuple:
+            raise ValueError(f"rows must be a tuple of row tuples, got a {type(rows).__name__}")
+        if not rows:
             raise ValueError("matrix must be square and nonempty")
         if type(den) is not int or den < 1:
             raise ValueError(f"denominator must be a positive int, got {den!r}")
-        content = den
-        for i, row in enumerate(self.rows):
+        n = len(rows)
+        for i, row in enumerate(rows):
+            if type(row) is not tuple:
+                raise ValueError(f"row {i} must be a tuple of entries, got a {type(row).__name__}")
             last = -1
-            for j, re, im in row:
-                if type(j) is not int or type(re) is not int or type(im) is not int:
-                    raise ValueError(f"row {i}: entry {(j, re, im)!r} is not three ints")
+            for entry in row:
+                if type(entry) is not tuple or tuple(map(type, entry)) != (int, int, int):
+                    raise ValueError(f"row {i}: entry {entry!r} is not three ints")
+                j, re, im = entry
                 if not (last < j < n and (re or im)):
                     raise ValueError(f"row {i}: column {j} is out of order, out of range or zero")
                 last = j
-                if content != 1:
-                    content = gcd(content, re, im)
+        self._reduce()
+
+    def _reduce(self):
+        """Divide the numerators and den by their common factor."""
+        content = self.den
+        for row in self.rows:
+            if content == 1:
+                return
+            for _, re, im in row:
+                content = gcd(content, re, im)
         if content != 1:
             rows = tuple(
                 tuple((j, re // content, im // content) for j, re, im in row) for row in self.rows
             )
             _set(self, "rows", rows)
-            _set(self, "den", den // content)
+            _set(self, "den", self.den // content)
 
     @property
     def n(self) -> int:
@@ -107,6 +133,13 @@ class Sl2Module(Record):
         return self.xp.n
 
     def _check(self):
+        if not (
+            type(self.xp) is type(self.xm) is type(self.h0) is type(self.hbar1) is SparseMatrix
+        ):
+            for name in ("xp", "xm", "h0", "hbar1"):
+                if type(getattr(self, name)) is not SparseMatrix:
+                    kind = type(getattr(self, name)).__name__
+                    raise ValueError(f"generator {name} must be a SparseMatrix, got a {kind}")
         n = self.xp.n
         if not (self.xm.n == self.h0.n == self.hbar1.n == n):
             raise ValueError("operator dimensions disagree")
@@ -122,7 +155,7 @@ class Sl2Module(Record):
 def _diagonal(values: Iterable[tuple[int, int]], den: int = 1) -> SparseMatrix:
     """The diagonal matrix of the (re, im) numerators over den."""
     rows = tuple(((s, re, im),) if re or im else () for s, (re, im) in enumerate(values))
-    return SparseMatrix(rows, den)
+    return SparseMatrix._canonical(rows, den)
 
 
 def irrep_Wm(m: int, a) -> Sl2Module:
@@ -147,8 +180,8 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
     return Sl2Module(  # by position: a keyword call costs each build about 1 us
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
-        SparseMatrix(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
-        SparseMatrix(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
+        SparseMatrix._canonical(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
+        SparseMatrix._canonical(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
         _diagonal((w, 0) for w in weights),  # h0
         # hbar1: den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
         # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
@@ -169,8 +202,6 @@ def _summed(entries: list[tuple[int, int, int]]) -> Row:
     if len(entries) < 2:
         return tuple(entries)
     entries.sort()
-    if len({entry[0] for entry in entries}) == len(entries):
-        return tuple(entries)
     row = []
     for entry in entries:
         if row and row[-1][0] == entry[0]:
@@ -181,11 +212,6 @@ def _summed(entries: list[tuple[int, int, int]]) -> Row:
         else:
             row.append(entry)
     return tuple(row)
-
-
-def _scaled(rows, by: int, nb: int = 1) -> list[list[tuple[int, int, int]]]:
-    """rows with each column times nb and each numerator times by."""
-    return [[(j * nb, by * re, by * im) for j, re, im in row] for row in rows]
 
 
 def _coproduct(
@@ -202,13 +228,19 @@ def _coproduct(
     if cross:
         c, d = cross
         den = lcm(den, c.den * d.den)
-        rows_c = _scaled(c.rows, -2 * (den // (c.den * d.den)), nb)
-    rows_a = _scaled(a.rows, den // a.den, nb)
-    rows_b = _scaled(b.rows, den // b.den)
+        sc = -2 * (den // (c.den * d.den))
+    sa, sb = den // a.den, den // b.den
+    rows_b = b.rows
+    if sb != 1:
+        rows_b = [[(j, sb * re, sb * im) for j, re, im in row] for row in rows_b]
     rows = []
-    for i1, ra in enumerate(rows_a):
+    for i1, ra in enumerate(a.rows):
         base = i1 * nb
-        rc = rows_c[i1] if cross else ()
+        if sa == 1:
+            ra = [(j * nb, re, im) for j, re, im in ra]
+        else:
+            ra = [(j * nb, sa * re, sa * im) for j, re, im in ra]
+        rc = [(j * nb, sc * p, sc * q) for j, p, q in c.rows[i1]] if cross else ()
         for i2, rb in enumerate(rows_b):
             entries = [(j + i2, re, im) for j, re, im in ra]
             for j2, re, im in rb:
@@ -218,7 +250,7 @@ def _coproduct(
                     # (p + q i)(r + s i) = (pr - qs) + (ps + qr) i
                     entries.append((j + j2, p * r - q * s, p * s + q * r))
             rows.append(_summed(entries))
-    return SparseMatrix(tuple(rows), den)
+    return SparseMatrix._canonical(tuple(rows), den)
 
 
 def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .drinfeld import DrinfeldTuple, type_from_json
-from .rootsys import LieType, Record
+from .rootsys import LieType, Record, require_int
 
 
 class FundamentalDimTable(Record):
@@ -28,6 +28,8 @@ class FundamentalDimTable(Record):
 
     def _check(self):
         for node, value in self.dims.items():
+            require_int(node, "table node")
+            require_int(value, f"dimension for node {node}")
             if not (1 <= node <= self.type.rank):
                 raise ValueError(f"table node {node} out of range 1..{self.type.rank}")
             if value < 1:

@@ -299,6 +299,58 @@ def test_bool_float_and_string_are_rejected(build):
         build()
 
 
+A2 = LieType("A", 2)
+ROW = (((0, 1, 0),),)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: FundamentalFactor(1, Fraction(1, 2)), "param", id="param Fraction"),
+        pytest.param(lambda: FundamentalFactor(1, 0), "param", id="param int"),
+        pytest.param(
+            lambda: is_cyclic(TensorWord(A2, (FundamentalFactor(1, Fraction(1, 2)),))),
+            "param must be a CRational",
+            id="is_cyclic on a Fraction param",
+        ),
+        pytest.param(lambda: MonicPoly((Fraction(1),)), "roots", id="root Fraction"),
+        pytest.param(lambda: MonicPoly([CRational(1)]), "roots", id="roots list"),
+        pytest.param(
+            lambda: TensorWord(A2, [FundamentalFactor(1, CRational(0))]), "factors", id="factors list"
+        ),
+        pytest.param(lambda: TensorWord(A2, ((1, CRational(0)),)), "factors", id="bare factor"),
+        pytest.param(lambda: DrinfeldTuple(A2, [MonicPoly(())] * 2), "polys", id="polys list"),
+        pytest.param(lambda: DrinfeldTuple(A2, ((), ())), "polys", id="bare poly"),
+        pytest.param(
+            lambda: FundamentalDimTable(A2, {True: 2}, "user"), "table node", id="table bool node"
+        ),
+        pytest.param(
+            lambda: FundamentalDimTable(A2, {1.0: 2}, "user"), "table node", id="table float node"
+        ),
+        pytest.param(
+            lambda: FundamentalDimTable(A2, {1: 2.5}, "user"), "dimension for node 1", id="float dim"
+        ),
+        pytest.param(
+            lambda: FundamentalDimTable(A2, {2: True}, "user"), "dimension for node 2", id="bool dim"
+        ),
+        pytest.param(lambda: SparseMatrix(list(ROW), 1), "rows", id="rows list"),
+        pytest.param(lambda: SparseMatrix(([(0, 1, 0)],), 1), "row 0", id="row list"),
+        pytest.param(lambda: SparseMatrix((((0, 1),),), 1), "row 0: entry", id="entry of two"),
+        pytest.param(lambda: SparseMatrix((([0, 1, 0],),), 1), "row 0: entry", id="entry list"),
+        pytest.param(lambda: SparseMatrix((((0, 1, 0, 0),),), 1), "row 0: entry", id="entry of four"),
+        pytest.param(lambda: Sl2Module(1, 2, 3, 4, 0), "generator xp", id="int generators"),
+        pytest.param(
+            lambda: Sl2Module(*[SparseMatrix(ROW)] * 3, ROW, 0), "generator hbar1", id="rows generator"
+        ),
+    ],
+)
+def test_malformed_fields_are_rejected(build, message):
+    # each record names the field it rejects, at construction and not at
+    # first use
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("other", [True, False, 0.5, 1.0])
 def test_crational_arithmetic_takes_no_bool_or_float(other):
     z = CRational(1)
@@ -335,3 +387,21 @@ def test_only_criteria_imports_dataclasses():
         if any(name.partition(".")[0] == "dataclasses" for name in imported_modules(path))
     }
     assert importers <= {"criteria"}
+
+
+def test_only_sl2_builders_skip_validation():
+    """`SparseMatrix._canonical` does not validate, so only the builders of
+    `sl2` call it: never a codec, `cli`, `selftest` or `echelon`.  Matrices
+    from anywhere else, user input among them, go through `SparseMatrix`."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                name = getattr(scope, "name", "<module>")
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Attribute) and node.attr == "_canonical":
+                        callers.add((path.stem, name))
+                    elif isinstance(node, ast.Name) and node.id == "_canonical":
+                        callers.add((path.stem, name))
+    assert callers == {("sl2", "_diagonal"), ("sl2", "irrep_Wm"), ("sl2", "_coproduct")}

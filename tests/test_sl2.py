@@ -416,6 +416,25 @@ class TestSparseMatrix:
         top = module.top_index
         assert entry(exact_matrix(module.hbar1), top, top) == cr(Fraction(-173, 210))
 
+    def test_builders_reduce_the_content(self, monkeypatch):
+        # the builders skip validation, not the content reduction: the hbar1
+        # of W_1(0) x W_1(0) is handed over lcm(2, 2) with even numerators
+        handed = []
+        canonical = SparseMatrix._canonical.__func__
+
+        def spy(cls, rows, den=1):
+            handed.append((rows, den))
+            return canonical(cls, rows, den)
+
+        monkeypatch.setattr(SparseMatrix, "_canonical", classmethod(spy))
+        hbar1 = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(0))).hbar1
+        assert handed[-1] == (
+            (((0, -2, 0),), ((1, -2, 0), (2, -4, 0)), ((2, -2, 0),), ((3, -2, 0),)),
+            2,
+        )
+        assert hbar1.rows == (((0, -1, 0),), ((1, -1, 0), (2, -2, 0)), ((2, -1, 0),), ((3, -1, 0),))
+        assert hbar1.den == 1
+
 
 class TestIrrep:
     def test_w1_matrices(self):
@@ -934,6 +953,23 @@ class TestOnePassBuild:
         assert exact_module(module) == exact_form
         assert integral_module(exact_form) == module
         assert exact_module(integral_module(exact_form)) == exact_form
+
+    @given(factors=words)
+    @settings(max_examples=40, deadline=None)
+    def test_builders_write_the_validated_form(self, factors):
+        # the validating constructor is the oracle of the builders' unchecked
+        # one: every matrix irrep_Wm, tensor and word_module build is what
+        # SparseMatrix makes of its rows and denominator
+        irreps = [irrep_Wm(m, a) for m, a in factors]
+        products = irreps[:1]
+        for module in irreps[1:]:
+            products.append(tensor(products[-1], module))
+        assert word_module(factors) == products[-1]
+        for module in irreps + products[1:]:
+            for name in ("xp", "xm", "h0", "hbar1"):
+                built = getattr(module, name)
+                checked = SparseMatrix(built.rows, built.den)
+                assert (checked.rows, checked.den) == (built.rows, built.den)
 
     @staticmethod
     def oracles(module):
