@@ -198,7 +198,6 @@ def _cmd_dims(args) -> tuple[dict, int]:
     report = {
         "tuple": tuple_to_dict(t),
         "weyl_dim": dim,
-        "bound": dim,
         "table_source": table.source,
     }
     return report, 0

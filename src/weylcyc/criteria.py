@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .drinfeld import (
     CRational,
@@ -211,25 +212,29 @@ def _pair_scan(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
     Every S-set member is positive and at most the window W of the type
     (`_window`).  So two positions can only violate the condition when their
     parameters share the imaginary part and the real parts differ by some d
-    with 0 < d <= W.  Positions are grouped by the exact imaginary part, each
-    group is sorted by real part (ties in position order), and each entry
-    walks forward through its group while d <= W, skipping d = 0.  For the
-    lower entry i and the upper entry j, d = a_j - a_i is tested against
-    S(b_i, b_j): with i < j that is the pair (i, j) of is_cyclic, with i > j
-    the reversed pair that only both_orders reads.  Membership is in closed
-    form (`_in_s_set` on the pair's `_progressions`); no set is built.  The
-    cost is the sorts, O(k log k), plus O(1) per pair inside a window at any
-    rank, where a loop over all pairs forms k(k-1)/2 differences.
+    with 0 < d <= W.  Positions are grouped by the imaginary part, keyed by
+    its (numerator, denominator), exact since every part is a normalized
+    Fraction.  Each group is sorted with the real part alone as key; the sort
+    is stable and a group is filled in position order, so ties keep position
+    order.  Each entry walks forward through its group while d <= W, skipping
+    d = 0.  For the lower entry i and the upper entry j, d = a_j - a_i is
+    tested against S(b_i, b_j): with i < j that is the pair (i, j) of
+    is_cyclic, with i > j the reversed pair that only both_orders reads.
+    Membership is in closed form (`_in_s_set` on the pair's `_progressions`);
+    no set is built.  The cost is the sorts, O(k log k), plus O(1) per pair
+    inside a window at any rank, where a loop over all pairs forms k(k-1)/2
+    differences.
     """
     window = _window(cartan_data(w.type))
     factors = w.factors
     progressions = {}  # per node pair, for this call only
-    groups: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    groups: dict[tuple[int, int], list[tuple[Fraction, int]]] = {}
     for i, f in enumerate(factors):
-        groups.setdefault(f.param.im, []).append((f.param.re, i))
+        im = f.param.im
+        groups.setdefault((im.numerator, im.denominator), []).append((f.param.re, i))
     violations = []
     for group in groups.values():
-        group.sort()
+        group.sort(key=itemgetter(0))
         for lo, (re_i, i) in enumerate(group):
             for hi in range(lo + 1, len(group)):
                 re_j, j = group[hi]

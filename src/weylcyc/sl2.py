@@ -115,6 +115,9 @@ class Sl2Module(Record):
     for irreducibles it is the genuine top vector, for tensor products it is
     the product of the factors' tops.
 
+    The public constructor validates its fields (`_check`); `irrep_Wm` and
+    `tensor`, which write them by construction, go through `_unchecked`.
+
     The module is immutable, so its `Split` over `GaussianInt` (the
     generators' numerators cut between weight spaces, and the closure of the
     top vector) is made at most once per module and kept in its `__dict__`,
@@ -127,6 +130,18 @@ class Sl2Module(Record):
     h0: SparseMatrix
     hbar1: SparseMatrix
     top_index: int
+
+    @classmethod
+    def _unchecked(cls, xp, xm, h0, hbar1, top_index: int) -> "Sl2Module":
+        """The module of these fields, which the builders of this module
+        write in the form the class describes: no validation."""
+        module = cls.__new__(cls)
+        _set(module, "xp", xp)
+        _set(module, "xm", xm)
+        _set(module, "h0", h0)
+        _set(module, "hbar1", hbar1)
+        _set(module, "top_index", top_index)
+        return module
 
     @property
     def dim(self) -> int:
@@ -178,7 +193,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     im = a.im.numerator * (den // a.im.denominator)
     half = den // 2
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
-    return Sl2Module(  # by position: a keyword call costs each build about 1 us
+    return Sl2Module._unchecked(
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
         SparseMatrix._canonical(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
         SparseMatrix._canonical(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
@@ -262,7 +277,7 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
     numerators.  hbar1 takes one denominator for all three terms, since the
     hbar1 of a product adds the hbar1 of its factors.
     """
-    return Sl2Module(
+    return Sl2Module._unchecked(
         _coproduct(m1.xp, m2.xp),
         _coproduct(m1.xm, m2.xm),
         _coproduct(m1.h0, m2.h0),

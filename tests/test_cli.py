@@ -204,7 +204,8 @@ def test_dims_builtin(capsys):
     code, out, _ = run(capsys, "dims", "--tuple", '{"type":"A2","polys":[["3"],["1","5"]]}')
     assert code == 0
     report = json.loads(out)
-    assert report["weyl_dim"] == report["bound"] == 27
+    assert report["weyl_dim"] == 27
+    assert "bound" not in report  # it restated weyl_dim
     assert report["table_source"] == "builtin"
 
 

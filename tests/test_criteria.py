@@ -23,6 +23,7 @@ from weylcyc import (
     t_set_C,
     weyl_factorize,
 )
+from weylcyc.drinfeld import word_from_dict
 from weylcyc.selftest import random_tuple
 
 from reference import (
@@ -306,6 +307,66 @@ class TestPairScanAgainstReference:
     @given(w=dense_tensor_words())
     @settings(max_examples=40, deadline=None)
     def test_matches_quadratic_loops_on_dense_windows(self, w):
+        assert_matches_reference(w)
+
+
+def json_word(type_str, *params):
+    """A word through the codec, one factor per (node, parameter string)."""
+    factors = [{"node": node, "a": a} for node, a in params]
+    return word_from_dict({"type": type_str, "factors": factors})
+
+
+@st.composite
+def tied_words(draw):
+    """3-12 factors of which 3 or more share one parameter, so that one
+    group of the scan holds a real part tied at three or more positions."""
+    w = draw(tensor_words())
+    k = draw(st.integers(max(3, len(w.factors)), 12))
+    factors = list(w.factors) + [w.factors[0]] * (k - len(w.factors))
+    tied = draw(st.lists(st.integers(0, k - 1), min_size=3, max_size=k, unique=True))
+    nodes = draw(st.lists(st.integers(1, w.type.rank), min_size=k, max_size=k))
+    param = factors[tied[0]].param
+    for i in tied:
+        factors[i] = FundamentalFactor(nodes[i], param)
+    return TensorWord(w.type, tuple(factors))
+
+
+class TestGroupKey:
+    """The scan groups positions by the (numerator, denominator) of the
+    imaginary part: one group for equal parts however they were written,
+    none shared by parts that differ, and ties in real part within a group
+    keep the output of the quadratic loops."""
+
+    def test_equal_parts_written_differently_share_a_group(self):
+        # S(1, 1) = {1} in A1: each pair 1 apart is a violation only if
+        # its two imaginary parts fall in one group
+        w = json_word("A1", (1, "0+1/2i"), (1, "1+2/4i"), (1, "2+3/6i"))
+        assert_matches_reference(w)
+        assert pair_members(is_cyclic(w).violations) == [(1, 2, 1), (2, 3, 1)]
+        zeros = CRational(0, 0), CRational(1, Fraction(0))
+        w = TensorWord(LieType("A", 1), tuple(FundamentalFactor(1, a) for a in zeros))
+        assert_matches_reference(w)
+        assert pair_members(is_irreducible(w).evidence) == [(1, 2, 1)]
+
+    def test_nearly_equal_parts_do_not_share_a_group(self):
+        w = json_word("A1", (1, "0+1/3i"), (1, "1+333333/1000000i"), (1, "1+1/3i"))
+        assert_matches_reference(w)
+        assert pair_members(is_cyclic(w).violations) == [(1, 3, 1)]
+        assert pair_members(is_irreducible(w).evidence) == [(1, 3, 1)]
+
+    def test_real_parts_tied_at_three_positions(self):
+        # A3: S(1, 3) = {2}, S(2, 2) = {1, 2}, S(2, 3) = {3/2}, S(3, 3) = {1};
+        # positions 1, 2, 3 and 5 share the real part 0
+        w = word("A3", (1, 0, 0), (2, 0, 0), (3, 0, 0), (2, 1, 0), (2, 0, 0), (3, 1, 0), (3, 2, 0))
+        assert_matches_reference(w)
+        assert pair_members(is_cyclic(w).violations) == [(1, 7, 2), (2, 4, 1), (3, 6, 1), (6, 7, 1)]
+        assert pair_members(is_irreducible(w).evidence) == [
+            (1, 7, 2), (2, 4, 1), (3, 6, 1), (5, 4, 1), (6, 7, 1)
+        ]
+
+    @given(w=tied_words())
+    @settings(max_examples=100, deadline=None)
+    def test_ties_match_quadratic_loops(self, w):
         assert_matches_reference(w)
 
 

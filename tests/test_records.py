@@ -390,9 +390,11 @@ def test_only_criteria_imports_dataclasses():
 
 
 def test_only_sl2_builders_skip_validation():
-    """`SparseMatrix._canonical` does not validate, so only the builders of
-    `sl2` call it: never a codec, `cli`, `selftest` or `echelon`.  Matrices
-    from anywhere else, user input among them, go through `SparseMatrix`."""
+    """`SparseMatrix._canonical` and `Sl2Module._unchecked` do not validate,
+    so only the builders of `sl2` call them: never a codec, `cli`, `selftest`
+    or `echelon`.  Matrices and modules from anywhere else, user input among
+    them, go through `SparseMatrix` and `Sl2Module`."""
+    unchecked = {"_canonical", "_unchecked"}
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
@@ -400,8 +402,14 @@ def test_only_sl2_builders_skip_validation():
             for scope in scopes:
                 name = getattr(scope, "name", "<module>")
                 for node in ast.walk(scope):
-                    if isinstance(node, ast.Attribute) and node.attr == "_canonical":
-                        callers.add((path.stem, name))
-                    elif isinstance(node, ast.Name) and node.id == "_canonical":
-                        callers.add((path.stem, name))
-    assert callers == {("sl2", "_diagonal"), ("sl2", "irrep_Wm"), ("sl2", "_coproduct")}
+                    if isinstance(node, ast.Attribute) and node.attr in unchecked:
+                        callers.add((path.stem, name, node.attr))
+                    elif isinstance(node, ast.Name) and node.id in unchecked:
+                        callers.add((path.stem, name, node.id))
+    assert callers == {
+        ("sl2", "_diagonal", "_canonical"),
+        ("sl2", "irrep_Wm", "_canonical"),
+        ("sl2", "_coproduct", "_canonical"),
+        ("sl2", "irrep_Wm", "_unchecked"),
+        ("sl2", "tensor", "_unchecked"),
+    }

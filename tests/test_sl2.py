@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from weylcyc import CRational, burnside_dim, hw_closure, irrep_Wm, tensor, word_module
 from weylcyc import echelon, selftest
 from weylcyc.echelon import GaussianInt, Split, rank, saturate
-from weylcyc.sl2 import SparseMatrix, _split
+from weylcyc.sl2 import Sl2Module, SparseMatrix, _split
 
 from reference import (
     ExactMatrix,
@@ -957,9 +957,10 @@ class TestOnePassBuild:
     @given(factors=words)
     @settings(max_examples=40, deadline=None)
     def test_builders_write_the_validated_form(self, factors):
-        # the validating constructor is the oracle of the builders' unchecked
-        # one: every matrix irrep_Wm, tensor and word_module build is what
-        # SparseMatrix makes of its rows and denominator
+        # the validating constructors are the oracles of the builders'
+        # unchecked ones: every matrix irrep_Wm, tensor and word_module build
+        # is what SparseMatrix makes of its rows and denominator, and every
+        # module what Sl2Module makes of its fields
         irreps = [irrep_Wm(m, a) for m, a in factors]
         products = irreps[:1]
         for module in irreps[1:]:
@@ -970,6 +971,8 @@ class TestOnePassBuild:
                 built = getattr(module, name)
                 checked = SparseMatrix(built.rows, built.den)
                 assert (checked.rows, checked.den) == (built.rows, built.den)
+            fields = [getattr(module, name) for name in ("xp", "xm", "h0", "hbar1", "top_index")]
+            assert type(module) is Sl2Module and module == Sl2Module(*fields)
 
     @staticmethod
     def oracles(module):
@@ -1038,6 +1041,67 @@ class TestSharedLiftAndClosure:
         assert closed == fresh and hash(closed) == hash(fresh)
         assert len({closed, fresh}) == 1
         assert closed != word_module([(1, cr(1)), (1, cr(0))])
+
+
+@st.composite
+def a1_words(draw):
+    """2-5 factors W_1(a) whose parameters differ by half-integers and share
+    a few imaginary parts, so that many top closures are deficient."""
+    base = draw(gaussian_params)
+    shift = st.builds(
+        CRational,
+        st.integers(-4, 4).map(lambda k: Fraction(k, 2)),
+        st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 3)]),
+    )
+    return [(1, base + s) for s in draw(st.lists(shift, min_size=2, max_size=5))]
+
+
+def ranks_from_the_top(module, echelons):
+    """The ranks of echelon forms, one per weight block of the module's
+    split, listed from the top weight down."""
+    weights = [row[0][1] if row else 0 for row in module.h0.rows]
+    blocks = module._weight_split.blocks
+    ranks = sorted(((weights[b[0]], e.rank) for b, e in zip(blocks, echelons)), reverse=True)
+    return [r for _, r in ranks]
+
+
+class TestReversedWord:
+    """Metamorphic relation between the two closures of `Split.cocyclic`:
+    closure (a) of an A1 word, the top vector under the generators, has in
+    every weight the rank that closure (b) of the reversed word, the top
+    functional under the transposed generators, has in that weight."""
+
+    @staticmethod
+    def closures(factors):
+        """Per-weight ranks, from the top, of closure (a) of the word and of
+        closure (b) of the reversed word, as `Split.cocyclic` makes them."""
+        word = word_module(factors)
+        closure_a = ranks_from_the_top(word, word._weight_split.top_closure)
+        reversed_word = word_module(factors[::-1])
+        split = reversed_word._weight_split
+        transposed = [
+            (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
+            for source, target, op in split.pieces
+        ]
+        return closure_a, ranks_from_the_top(reversed_word, split._closure(transposed))
+
+    # deficient closures (a), frozen; read in the word's own order, (b)
+    # differs from (a) on each of them
+    FROZEN = [
+        ([(1, cr(0)), (1, cr(1))], [1, 1, 1]),
+        ([(1, cr(0)), (1, cr(1)), (1, cr(Fraction(5, 2)))], [1, 2, 2, 1]),
+        ([(1, cr(0, 1)), (1, cr(1, 1)), (1, cr(2, 1)), (1, cr(1, -1))], [1, 2, 2, 2, 1]),
+    ]
+
+    @pytest.mark.parametrize("factors, ranks", FROZEN)
+    def test_frozen_deficient_words(self, factors, ranks):
+        assert self.closures(factors) == (ranks, ranks)
+
+    @given(factors=a1_words())
+    @settings(max_examples=60, deadline=None)
+    def test_closure_a_of_word_equals_closure_b_of_reversed_word(self, factors):
+        closure_a, closure_b = self.closures(factors)
+        assert closure_a == closure_b
 
 
 class TestShift:
