@@ -5,16 +5,16 @@ rank-1 matrix oracles."""
 import importlib
 
 from .criteria import (
-    CyclicityReport,
     IrreducibilityStatus,
-    IrreducibilityVerdict,
     PairViolation,
     SSet,
     TSet,
     derive_s_from_t,
+    irreducibility_status,
     is_cyclic,
     is_irreducible,
     left_dual,
+    pair_violations,
     s_set,
     t_set_C,
     weyl_factorize,
@@ -33,9 +33,11 @@ from .rootsys import (
     kappa,
 )
 
-# The rank-1 engine and the dimension tables load on first use, so that a
-# command that runs neither does not import them (PEP 562).
+# The rank-1 engine, the dimension tables and the criteria reports load on
+# first use, so that a command that runs none of them does not import them
+# (PEP 562); the reports are what would load `dataclasses`.
 _LAZY = {
+    **dict.fromkeys(("CyclicityReport", "IrreducibilityVerdict"), "reports"),
     **dict.fromkeys(
         ("SparseMatrix", "Sl2Module", "burnside_dim", "hw_closure", "irrep_Wm", "tensor", "word_module"),
         "sl2",
@@ -44,9 +46,9 @@ _LAZY = {
 }
 
 __all__ = [
-    "CyclicityReport", "IrreducibilityStatus", "IrreducibilityVerdict", "PairViolation", "SSet",
-    "TSet", "derive_s_from_t", "is_cyclic", "is_irreducible", "left_dual", "s_set", "t_set_C",
-    "weyl_factorize",
+    "IrreducibilityStatus", "PairViolation", "SSet", "TSet", "derive_s_from_t",
+    "irreducibility_status", "is_cyclic", "is_irreducible", "left_dual", "pair_violations",
+    "s_set", "t_set_C", "weyl_factorize",
     "CRational", "DrinfeldTuple", "FundamentalFactor", "MonicPoly", "TensorWord",
     "CartanData", "LieType", "cartan_data", "kappa",
     *_LAZY,

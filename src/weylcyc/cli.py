@@ -6,7 +6,9 @@ string-encoded rationals and sorted keys (indented under --pretty), and
 prints nothing on stdout when the handler raises.  Exit codes: 0 success,
 1 usage or parse error, 2 criterion violated / oracle mismatch (with
 --assert) or a failed selftest.  A handler imports the rank-1 engine or
-the dimension tables itself, so the other commands never load them.
+the dimension tables itself, so the other commands never load them, and
+`check` reads the scan's violations without building a criteria report, so
+no command loads `dataclasses` (`weylcyc.reports`).
 """
 
 from __future__ import annotations
@@ -118,12 +120,11 @@ def _render_root(scale, shift) -> str:
 
 def _cmd_check(args) -> tuple[dict, int]:
     word = _load(args.word, "word", word_from_dict)
+    violations = criteria.pair_violations(word, both_orders=args.irreducible)
     if args.irreducible:
-        verdict = criteria.is_irreducible(word)
-        key, value, violations = "status", verdict.status.value, verdict.evidence
+        key, value = "status", criteria.irreducibility_status(word, violations).value
     else:
-        result = criteria.is_cyclic(word)
-        key, value, violations = "cyclic_guaranteed", result.cyclic_guaranteed, result.violations
+        key, value = "cyclic_guaranteed", not violations
     report = {
         "word": word_to_dict(word),
         key: value,

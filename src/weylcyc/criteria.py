@@ -13,12 +13,18 @@ For type C the S-sets are also derivable from the root sets T(i, r_j) of the
 rank-1 polynomials attached to the descent from a top vector to a lowest
 vector; `derive_s_from_t` performs that derivation and is cross-checked
 against the transcribed tables.
+
+`pair_violations` is the scan both criteria run, and `irreducibility_status`
+reads the verdict off its violations.  `is_cyclic` and `is_irreducible` wrap
+them in the dataclass reports of `weylcyc.reports`, bound on the first report
+built, so a caller that reads the violations alone never imports
+`dataclasses`.  `CyclicityReport` and `IrreducibilityVerdict` resolve here
+through the module `__getattr__`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -75,25 +81,31 @@ class PairViolation(Record):
     member: Fraction
 
 
-@dataclass(frozen=True)
-class CyclicityReport:
-    violations: tuple[PairViolation, ...]
-
-    @property
-    def cyclic_guaranteed(self) -> bool:
-        return not self.violations
-
-
 class IrreducibilityStatus(enum.Enum):
     IRREDUCIBLE_GUARANTEED = "IrreducibleGuaranteed"
     NOT_GUARANTEED = "NotGuaranteed"
     REDUCIBLE_PROVEN = "ReducibleProven"
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
-    status: IrreducibilityStatus
-    evidence: tuple[PairViolation, ...]
+class _Reports:
+    """Stands in for `weylcyc.reports` until a report is first built: the
+    first attribute read imports the module into `_reports`, so every later
+    read is a plain module attribute and no call runs an import."""
+
+    def __getattr__(self, name):
+        global _reports
+        from . import reports as _reports
+
+        return getattr(_reports, name)
+
+
+_reports = _Reports()
+
+
+def __getattr__(name):
+    if name in ("CyclicityReport", "IrreducibilityVerdict"):
+        return getattr(_reports, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def s_set(data: CartanData, bm: int, bn: int) -> SSet:
@@ -206,7 +218,7 @@ def _window(data: CartanData) -> Fraction:
     return max(data.d) * data.kappa
 
 
-def _pair_scan(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
+def pair_violations(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
     """Violations of the pairwise condition, sorted by position pair (m, n).
 
     Every S-set member is positive and at most the window W of the type
@@ -253,6 +265,23 @@ def _pair_scan(w: TensorWord, both_orders: bool) -> tuple[PairViolation, ...]:
     return tuple(violations)
 
 
+def irreducibility_status(
+    w: TensorWord, violations: tuple[PairViolation, ...]
+) -> IrreducibilityStatus:
+    """The irreducibility verdict on w given its both-orders violations
+    (`pair_violations(w, both_orders=True)`).
+
+    No violation guarantees irreducibility for every classical type.  With a
+    violation, type A words are proven reducible (the criterion is an
+    equivalence there); for B/C/D nothing is concluded.
+    """
+    if not violations:
+        return IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
+    if w.type.family == "A":
+        return IrreducibilityStatus.REDUCIBLE_PROVEN
+    return IrreducibilityStatus.NOT_GUARANTEED
+
+
 def is_cyclic(w: TensorWord) -> CyclicityReport:
     """Check the pairwise sufficient condition for the ordered product to be
     generated by the product of top vectors.
@@ -262,25 +291,14 @@ def is_cyclic(w: TensorWord) -> CyclicityReport:
     violation does not disprove it (except as sharpened by type A
     irreducibility).
     """
-    violations = _pair_scan(w, both_orders=False)
-    return CyclicityReport(violations)
+    return _reports.CyclicityReport(pair_violations(w, both_orders=False))
 
 
 def is_irreducible(w: TensorWord) -> IrreducibilityVerdict:
-    """Check the pairwise irreducibility criterion over all ordered pairs.
-
-    No violation guarantees irreducibility for every classical type.  With a
-    violation, type A words are proven reducible (the criterion is an
-    equivalence there); for B/C/D nothing is concluded.
-    """
-    violations = _pair_scan(w, both_orders=True)
-    if not violations:
-        status = IrreducibilityStatus.IRREDUCIBLE_GUARANTEED
-    elif w.type.family == "A":
-        status = IrreducibilityStatus.REDUCIBLE_PROVEN
-    else:
-        status = IrreducibilityStatus.NOT_GUARANTEED
-    return IrreducibilityVerdict(status, violations)
+    """Check the pairwise irreducibility criterion over all ordered pairs
+    (`irreducibility_status`)."""
+    violations = pair_violations(w, both_orders=True)
+    return _reports.IrreducibilityVerdict(irreducibility_status(w, violations), violations)
 
 
 def left_dual(w: TensorWord) -> TensorWord:

@@ -208,6 +208,16 @@ def type_from_json(value) -> LieType:
     return LieType.parse(value)
 
 
+def reject_unknown_keys(data: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise ValueError naming a key of the wire object `data` that its
+    decoder does not read; `data` already holds every key in `known`."""
+    if len(data) > len(known):
+        key = next(key for key in data if key not in known)
+        raise ValueError(
+            f"{what} has an unknown key {key!r}; it takes only {' and '.join(map(repr, known))}"
+        )
+
+
 def _parse_param(value, field: str) -> CRational:
     """A spectral parameter or root of a wire object: a string such as
     "3/2-1/2i", never a JSON number."""
@@ -229,6 +239,7 @@ def word_to_dict(w: TensorWord) -> dict:
 def word_from_dict(data: dict) -> TensorWord:
     if not isinstance(data, dict) or "type" not in data or "factors" not in data:
         raise ValueError("word JSON must have 'type' and 'factors' keys")
+    reject_unknown_keys(data, ("type", "factors"), "word JSON")
     lt = type_from_json(data["type"])
     factors = []
     if not isinstance(data["factors"], list):
@@ -236,6 +247,7 @@ def word_from_dict(data: dict) -> TensorWord:
     for entry in data["factors"]:
         if not isinstance(entry, dict) or "node" not in entry or "a" not in entry:
             raise ValueError(f"bad factor entry {entry!r}: need 'node' and 'a'")
+        reject_unknown_keys(entry, ("node", "a"), f"factor entry {entry!r}")
         node = entry["node"]
         if not isinstance(node, int) or isinstance(node, bool):
             raise ValueError(f"factor 'node' must be an integer, got {node!r}")
@@ -254,6 +266,7 @@ def tuple_to_dict(t: DrinfeldTuple) -> dict:
 def tuple_from_dict(data: dict) -> DrinfeldTuple:
     if not isinstance(data, dict) or "type" not in data or "polys" not in data:
         raise ValueError("tuple JSON must have 'type' and 'polys' keys")
+    reject_unknown_keys(data, ("type", "polys"), "tuple JSON")
     lt = type_from_json(data["type"])
     polys = data["polys"]
     if not isinstance(polys, list) or len(polys) != lt.rank:

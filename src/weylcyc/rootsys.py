@@ -32,8 +32,9 @@ class Record:
     rebuilds it through the constructor, so pickle and `copy.deepcopy` work.
 
     Every record but the two criteria reports uses it, sparing each record
-    the generated dataclass methods; the reports stay dataclasses because
-    the benchmark's tests call `dataclasses.replace` on them.
+    the generated dataclass methods.  The reports stay dataclasses, because
+    the benchmark's tests call `dataclasses.replace` on them, in
+    `weylcyc.reports`, which only a caller that builds a report loads.
     """
 
     __slots__ = ()

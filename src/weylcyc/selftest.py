@@ -99,8 +99,8 @@ def rank1_report(word: TensorWord) -> dict:
     algebra = sl2.burnside_dim(module)
     full = closure == module.dim
     burnside_full = algebra == module.dim**2
-    cyclic = criteria.is_cyclic(word).cyclic_guaranteed
-    status = criteria.is_irreducible(word).status
+    cyclic = not criteria.pair_violations(word, both_orders=False)
+    status = criteria.irreducibility_status(word, criteria.pair_violations(word, both_orders=True))
     expected = (IrreducibilityStatus.IRREDUCIBLE_GUARANTEED if burnside_full
                 else IrreducibilityStatus.REDUCIBLE_PROVEN)
     return {
@@ -157,12 +157,12 @@ def check_factorization_cyclicity() -> tuple[str, bool, str]:
             lt = LieType(family, rng.randint(lo, hi))
             t = random_tuple(rng, lt)
             word = criteria.weyl_factorize(t)
-            report = criteria.is_cyclic(word)
-            if not report.cyclic_guaranteed:
+            violations = criteria.pair_violations(word, both_orders=False)
+            if violations:
                 return (
                     "factorization always cyclic",
                     False,
-                    f"{lt}: factorized word violates at {report.violations[0]}",
+                    f"{lt}: factorized word violates at {violations[0]}",
                 )
     return "factorization always cyclic", True, f"{PER_FAMILY} random tuples per family"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .drinfeld import DrinfeldTuple, type_from_json
+from .drinfeld import DrinfeldTuple, reject_unknown_keys, type_from_json
 from .rootsys import LieType, Record, require_int
 
 
@@ -55,6 +55,7 @@ def table_from_dict(data: dict) -> FundamentalDimTable:
     """Parse {"type": "C3", "dims": {"1": 6, "2": 14, "3": 14}}."""
     if not isinstance(data, dict) or "type" not in data or "dims" not in data:
         raise ValueError("table JSON must have 'type' and 'dims' keys")
+    reject_unknown_keys(data, ("type", "dims"), "table JSON")
     lt = type_from_json(data["type"])
     if not isinstance(data["dims"], dict):
         raise ValueError("'dims' must map node strings to integers")

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from weylcyc import selftest, sl2, weyl_dims
+from weylcyc import is_cyclic, is_irreducible, selftest, sl2, weyl_dims
 from weylcyc.cli import MAX_FACTORIZE_ROOTS, MAX_ORACLE_FACTORS, MAX_RANK, main
+from weylcyc.drinfeld import word_from_dict, word_to_dict
 
+from test_criteria import dense_tensor_words, tensor_words
 from test_readme import EXAMPLES
 
 WORD_01 = '{"type":"A1","factors":[{"node":1,"a":"0"},{"node":1,"a":"1"}]}'
@@ -166,6 +172,32 @@ def test_non_ascii_digit_exit_one(capsys, argv, field):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert f"{field}: cannot parse" in err
+
+
+C3_TUPLE = '{"type":"C3","polys":[["0"],[],[]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/2"}],"extra":1}'], "extra"),
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/2","b":2}]}', "--irreducible"],
+         "b"),
+        (["dual", "--word", '{"type":"A1","factors":[{"node":1,"a":"0"}],"kappa":"1"}'], "kappa"),
+        (["sl2-oracle", "--word", '{"type":"A1","factors":[{"a":"0","node":1,"m":1}]}'], "m"),
+        (["factorize", "--tuple", '{"type":"A1","polys":[["1"]],"degrees":[1]}'], "degrees"),
+        (["dims", "--tuple", '{"type":"C3","polys":[["0"],[],[]],"":0}', "--table",
+          '{"type":"C3","dims":{"1":6}}'], ""),
+        (["dims", "--tuple", C3_TUPLE, "--table", '{"type":"C3","dims":{"1":6},"source":"user"}'],
+         "source"),
+    ],
+    ids=["word", "factor", "dual", "oracle factor", "tuple", "empty key", "table"],
+)
+def test_unknown_json_key_exit_one(capsys, argv, key):
+    # a key the decoder does not read is an error, never silently dropped
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"unknown key {key!r}" in err
 
 
 def test_dual_reports_kappa(capsys):
@@ -473,6 +505,36 @@ def test_library_runtime_error_exit_one(capsys, monkeypatch):
 def test_sl2_oracle_rejects_higher_rank(capsys):
     code, _, err = run(capsys, "sl2-oracle", "--word", '{"type":"A2","factors":[{"node":1,"a":"0"}]}')
     assert code == 1 and "A1" in err
+
+
+def report_json(word, irreducible: bool) -> dict:
+    """The `check` report built from the library's report objects."""
+    if irreducible:
+        verdict = is_irreducible(word)
+        key, value, violations = "status", verdict.status.value, verdict.evidence
+    else:
+        report = is_cyclic(word)
+        key, value, violations = "cyclic_guaranteed", report.cyclic_guaranteed, report.violations
+    listed = [
+        {"m": v.m, "n": v.n, "diff": str(v.diff), "set_member": str(v.member)} for v in violations
+    ]
+    return {"word": word_to_dict(word), key: value, "violations": listed}
+
+
+@given(word=st.one_of(tensor_words(), dense_tensor_words()), irreducible=st.booleans())
+@example(word=word_from_dict(json.loads(WORD_01)), irreducible=False)  # one violation
+@example(word=word_from_dict(json.loads(WORD_10)), irreducible=True)  # one, reversed
+@settings(max_examples=100, deadline=None)
+def test_check_prints_what_the_reports_say(word, irreducible):
+    # `check` reads the violations without building a report
+    argv = ["check", "--word", json.dumps(word_to_dict(word)), "--assert"]
+    argv += ["--irreducible"] * irreducible
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    expected = report_json(word, irreducible)
+    assert out.getvalue() == json.dumps(expected, sort_keys=True) + "\n"
+    assert code == (2 if expected["violations"] else 0)
 
 
 def test_deterministic_output(capsys):

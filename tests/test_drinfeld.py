@@ -303,6 +303,23 @@ def non_ascii_digits(draw):
     return text[:i] + chr(zero + int(text[i])) + text[i + 1 :]
 
 
+json_values = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+
+
+@st.composite
+def with_unknown_key(draw, obj: dict) -> tuple[dict, str]:
+    """obj with one more key, none of its own, put first or last; and the key."""
+    key = draw(st.text(max_size=8).filter(lambda k: k not in obj))
+    value = draw(json_values)
+    return ({key: value, **obj} if draw(st.booleans()) else {**obj, key: value}), key
+
+
+def assert_names_unknown_key(decode, bad, key):
+    with pytest.raises(ValueError) as exc:
+        decode(through_json(bad))
+    assert f"unknown key {key!r}" in str(exc.value)
+
+
 def non_canonical_key(node):
     """Spellings that int() reads as node but that are not str(node)."""
     text = str(node)
@@ -391,3 +408,25 @@ class TestCodecProperties:
         bad["type"] = data.draw(st.booleans())
         with pytest.raises(ValueError, match="'type'"):
             table_from_dict(bad)
+
+    @given(words(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_word_rejects_unknown_keys(self, word, data):
+        bad, key = data.draw(with_unknown_key(word_to_dict(word)))
+        assert_names_unknown_key(word_from_dict, bad, key)
+        bad = word_to_dict(word)
+        i = data.draw(st.integers(0, len(word.factors) - 1))
+        bad["factors"][i], key = data.draw(with_unknown_key(bad["factors"][i]))
+        assert_names_unknown_key(word_from_dict, bad, key)
+
+    @given(drinfeld_tuples(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_tuple_rejects_unknown_keys(self, tup, data):
+        bad, key = data.draw(with_unknown_key(tuple_to_dict(tup)))
+        assert_names_unknown_key(tuple_from_dict, bad, key)
+
+    @given(tables(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_table_rejects_unknown_keys(self, table, data):
+        bad, key = data.draw(with_unknown_key(table_to_dict(table)))
+        assert_names_unknown_key(table_from_dict, bad, key)

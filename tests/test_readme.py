@@ -87,7 +87,7 @@ def layout_rows():
 def test_layout_table_names_module_attributes():
     rows = layout_rows()
     assert [module for module, _ in rows] == [
-        "rootsys", "drinfeld", "criteria", "sl2", "echelon", "weyl_dims", "cli"
+        "rootsys", "drinfeld", "criteria", "reports", "sl2", "echelon", "weyl_dims", "cli"
     ]
     for module, names in rows:
         assert names, module

@@ -34,6 +34,7 @@ from weylcyc import (
     irrep_Wm,
     is_cyclic,
     is_irreducible,
+    reports,
     word_module,
 )
 from weylcyc.rootsys import _MIN_RANK, FAMILIES
@@ -245,6 +246,20 @@ def test_verdicts_pickle_and_deepcopy(word):
     round_trips(is_irreducible(word))
 
 
+@quick
+@given(word=words)
+def test_reports_are_dataclasses_that_replace_accepts(word):
+    # the benchmark's tests drop a violation from each report this way
+    cyc, irr = is_cyclic(word), is_irreducible(word)
+    assert type(cyc) is reports.CyclicityReport and type(irr) is reports.IrreducibilityVerdict
+    fewer = dataclasses.replace(cyc, violations=cyc.violations[1:])
+    assert fewer.violations == cyc.violations[1:]
+    assert fewer.cyclic_guaranteed == (len(cyc.violations) < 2)
+    assert (fewer == cyc) == (not cyc.violations)
+    fewer = dataclasses.replace(irr, evidence=irr.evidence[:-1])
+    assert fewer.evidence == irr.evidence[:-1] and fewer.status is irr.status
+
+
 def test_crational_pickles_and_deepcopies():
     z = CRational(Fraction(3, 2), Fraction(-1, 7))
     round_trips(z)
@@ -373,12 +388,13 @@ def imported_modules(path):
             yield node.module
 
 
-def test_only_criteria_imports_dataclasses():
+def test_only_reports_imports_dataclasses():
     """Every record derives from `rootsys.Record`, except the two criteria
     reports, `CyclicityReport` and `IrreducibilityVerdict`.  They remain
     dataclasses for one reason only: `bench/test_bench.py` calls
-    `dataclasses.replace` on them.  So no module of the package but
-    `criteria` imports `dataclasses`."""
+    `dataclasses.replace` on them.  They live in `reports`, which `criteria`
+    loads on the first report it builds, so exactly one module of the
+    package imports `dataclasses`, and it is `reports`."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 1
     importers = {
@@ -386,7 +402,7 @@ def test_only_criteria_imports_dataclasses():
         for path in sources
         if any(name.partition(".")[0] == "dataclasses" for name in imported_modules(path))
     }
-    assert importers <= {"criteria"}
+    assert importers == {"reports"}
 
 
 def test_only_sl2_builders_skip_validation():
