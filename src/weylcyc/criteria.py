@@ -287,8 +287,12 @@ def is_cyclic(w: TensorWord) -> CyclicityReport:
     generated by the product of top vectors.
 
     A pair of positions m < n violates the condition when a_n - a_m is a real
-    rational lying in S(b_m, b_n).  No violations guarantees cyclicity; a
-    violation does not disprove it (except as sharpened by type A
+    rational lying in S(b_m, b_n).  No violations guarantees cyclicity.  In
+    type A1 a violation also disproves it, as measured on every word of 2-4
+    factors over the half-integers in [-2, 2] and on random words with
+    complex parameters: there the top vector generates the module iff no
+    pair violates (tests/test_sl2.py, and the selftest's `agree`).  Above
+    rank 1 a violation does not disprove it (except as sharpened by type A
     irreducibility).
     """
     return _reports.CyclicityReport(pair_violations(w, both_orders=False))

@@ -2,9 +2,10 @@
 
 A field is an echelon-form class, here `GaussianInt`, fraction-free over
 the Gaussian integers.  field(length) is an empty echelon form of vectors of
-that length, field.operator reads an `sl2.SparseMatrix` as an op (a tuple
-of parts, each a list of (row, column, value) entries), field.apply applies an
-op to a vector, and field.unit builds a 0/1 seed vector.
+that length, field.cut reads an `sl2.SparseMatrix` once and cuts it into
+ops between blocks (an op is a tuple of parts, each a list of (row, column,
+value) entries), field.apply applies an op to a vector, and field.unit builds
+a 0/1 seed vector.
 
 `saturate` closes the span of seeds under ops on a graded space: a direct
 sum of blocks, with vectors as (block, local vector) pairs, ops that each
@@ -24,6 +25,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .drinfeld import ZERO, CRational
+
+ONE = CRational(1)
 
 
 def _sparse_apply(entries, vec: list, out: list) -> list:
@@ -62,19 +65,28 @@ class GaussianInt:
         return len(self.rows)
 
     @staticmethod
-    def operator(mat) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-        """The numerators of mat, an `sl2.SparseMatrix`, as the nonzero
-        (row, column, value) entries of its real and of its imaginary part.
-        They are mat times its denominator, and scaling an operator by a
-        nonzero constant leaves the spans it saturates unchanged."""
-        re_op, im_op = [], []
+    def cut(mat, where) -> list[tuple[int, int, tuple[list, list]]]:
+        """The numerators of mat, an `sl2.SparseMatrix`, cut into pieces
+        between blocks in one pass over its rows: (source block, target
+        block, op), pieces in order of their first entry, where where[i] is
+        the (block, local index) of basis index i.  An op is the (row,
+        column, value) entries, in local indices, of its real and of its
+        imaginary part.  The numerators are mat times its denominator, and
+        scaling an operator by a nonzero constant leaves the spans it
+        saturates unchanged."""
+        pieces: dict[tuple[int, int], tuple[list, list]] = {}
         for i, row in enumerate(mat.rows):
+            target, li = where[i]
             for j, re, im in row:
+                source, lj = where[j]
+                piece = pieces.get((source, target))
+                if piece is None:
+                    piece = pieces[source, target] = ([], [])
                 if re:
-                    re_op.append((i, j, re))
+                    piece[0].append((li, lj, re))
                 if im:
-                    im_op.append((i, j, im))
-        return re_op, im_op
+                    piece[1].append((li, lj, im))
+        return [(source, target, piece) for (source, target), piece in pieces.items()]
 
     @staticmethod
     def apply(op, vec: tuple[list[int], list[int]], length: int) -> tuple[list[int], list[int]]:
@@ -221,19 +233,7 @@ class Split:
         for b, block in enumerate(blocks):
             for local, i in enumerate(block):
                 where[i] = (b, local)
-        self.pieces: list[tuple[int, int, tuple]] = []
-        for mat in mats:
-            op = field.operator(mat)
-            cut: dict[tuple[int, int], tuple] = {}
-            for p, part in enumerate(op):
-                for i, j, x in part:
-                    target, li = where[i]
-                    source, lj = where[j]
-                    piece = cut.get((source, target))
-                    if piece is None:
-                        piece = cut[source, target] = tuple([] for _ in op)
-                    piece[p].append((li, lj, x))
-            self.pieces += [(source, target, piece) for (source, target), piece in cut.items()]
+        self.pieces = [piece for mat in mats for piece in field.cut(mat, where)]
 
     def _closure(self, pieces) -> list:
         """Echelon forms, block by block, of the closure of basis vector top
@@ -252,14 +252,23 @@ class Split:
         return self._closure(self.pieces)
 
     def top_basis(self) -> list[list[CRational]]:
-        """The rows of top_closure divided by their leads, as dense vectors
-        of the whole space in increasing pivot order."""
+        """An echelon basis of top_closure with lead entries 1, as dense
+        vectors of the whole space in increasing pivot order.
+
+        A block whose echelon form has full rank spans the whole block, so
+        its rows are the block's unit vectors, the reduced echelon form, and
+        no row is read.  The rows of a deficient block are its echelon rows
+        divided by their leads (`GaussianInt.normalized_rows`)."""
         length = len(self.where)
-        rows = [
-            row
-            for columns, echelon in zip(self.blocks, self.top_closure)
-            for row in echelon.normalized_rows(columns, length)
-        ]
+        rows = []
+        for columns, echelon in zip(self.blocks, self.top_closure):
+            if echelon.rank < len(columns):
+                rows += echelon.normalized_rows(columns, length)
+            else:
+                for i in columns:
+                    v = [ZERO] * length
+                    v[i] = ONE
+                    rows.append((i, v))
         rows.sort(key=lambda row: row[0])
         return [v for _, v in rows]
 

@@ -90,17 +90,20 @@ def a1_word(params) -> TensorWord:
 def rank1_report(word: TensorWord) -> dict:
     """The rank-1 matrix oracles against the pairwise criteria on one A1 word.
 
-    `agree` holds iff a criterion-cyclic word has full top-vector closure
-    and the irreducibility verdict is IrreducibleGuaranteed when the
-    Burnside algebra is full and ReducibleProven otherwise (in type A the
-    criterion is an equivalence)."""
+    `agree` holds iff the word is criterion-cyclic exactly when its top-vector
+    closure is full, and the irreducibility verdict is IrreducibleGuaranteed
+    when the Burnside algebra is full and ReducibleProven otherwise (in type
+    A the criterion is an equivalence).  One scan in both orders gives both
+    criteria: the forward violations, those of `is_cyclic`, are the ones
+    with m < n."""
     module = sl2.word_module((1, f.param) for f in word.factors)
     closure, _ = sl2.hw_closure(module)
     algebra = sl2.burnside_dim(module)
     full = closure == module.dim
     burnside_full = algebra == module.dim**2
-    cyclic = not criteria.pair_violations(word, both_orders=False)
-    status = criteria.irreducibility_status(word, criteria.pair_violations(word, both_orders=True))
+    violations = criteria.pair_violations(word, both_orders=True)
+    cyclic = all(v.m > v.n for v in violations)
+    status = criteria.irreducibility_status(word, violations)
     expected = (IrreducibilityStatus.IRREDUCIBLE_GUARANTEED if burnside_full
                 else IrreducibilityStatus.REDUCIBLE_PROVEN)
     return {
@@ -111,7 +114,7 @@ def rank1_report(word: TensorWord) -> dict:
         "burnside_full": burnside_full,
         "cyclic_guaranteed": cyclic,
         "criterion": status.value,
-        "agree": (full or not cyclic) and status is expected,
+        "agree": full == cyclic and status is expected,
     }
 
 

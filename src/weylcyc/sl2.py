@@ -22,7 +22,7 @@ fraction-free elimination on Gaussian integers.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 from typing import Iterable
 
@@ -173,6 +173,18 @@ def _diagonal(values: Iterable[tuple[int, int]], den: int = 1) -> SparseMatrix:
     return SparseMatrix._canonical(rows, den)
 
 
+@lru_cache(maxsize=8)
+def _ladder(m: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
+    """x0+, x0- and h0 of W_m(a), which do not depend on a: made once per m
+    and shared, since matrices are immutable."""
+    return (
+        # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
+        SparseMatrix._canonical(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
+        SparseMatrix._canonical(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
+        _diagonal((w, 0) for w in range(-m, m + 1, 2)),  # h0
+    )
+
+
 def irrep_Wm(m: int, a) -> Sl2Module:
     """The (m+1)-dimensional irreducible with root string a, a+1, ..., a+m-1.
 
@@ -194,10 +206,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     half = den // 2
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
     return Sl2Module._unchecked(
-        # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
-        SparseMatrix._canonical(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
-        SparseMatrix._canonical(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
-        _diagonal((w, 0) for w in weights),  # h0
+        *_ladder(m),
         # hbar1: den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
         # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
         _diagonal(
@@ -309,8 +318,10 @@ def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     four generators, by iterated application and fraction-free row reduction
     over the Gaussian integers to a fixpoint (`Split.top_closure`).
 
-    Returns the dimension and the echelon basis, each vector with lead entry
-    1 (`Split.top_basis`).  The module is generated by its top vector iff
+    Returns the dimension and an echelon basis, each vector with lead entry
+    1, in increasing pivot order (`Split.top_basis`): the unit vectors of
+    each weight space the closure fills, and the echelon rows divided by
+    their leads in the others.  The module is generated by its top vector iff
     the dimension equals the module dimension; the four generators suffice
     because every higher mode is an iterated hbar1-bracket of them.  When h0
     is diagonal the closure is h0-invariant, hence the sum of its

@@ -9,6 +9,8 @@ oracle runs them, so they live beside the tests.
 - The rank-1 modules built on `ExactMatrix`, as `sl2` built them before it
   built them on Gaussian-integer numerators, and the kron-based tensor
   product; the converters between `ExactModule` and `sl2.Sl2Module`.
+- The cut of a generator into the pieces between weight blocks in two
+  passes, as `echelon.Split` made it before the fields cut in one.
 - The rank-1 Yangian: the mode ladder with its closed basis action, the
   defining-relation checker and the spectral shift.
 - The local Weyl module of a root multiset, built as `factorize` builds it.
@@ -262,8 +264,8 @@ def exact_matrix(mat: SparseMatrix) -> ExactMatrix:
 
 
 def integral_matrix(mat: ExactMatrix) -> SparseMatrix:
-    """mat over the lcm of its entries' denominators, the lift
-    `GaussianInt.operator` made before the generators were built on
+    """mat over the lcm of its entries' denominators, the lift the
+    Gaussian-integer field made before the generators were built on
     numerators."""
     den = lcm(*(part.denominator for row in mat.rows for _, x in row for part in (x.re, x.im)))
 
@@ -289,6 +291,39 @@ def integral_module(module: ExactModule) -> Sl2Module:
     """The module with every generator over the lcm of its entries'
     denominators, for the oracles."""
     return Sl2Module(*(integral_matrix(getattr(module, g)) for g in GENERATORS), module.top_index)
+
+
+def gaussian_operator(mat: SparseMatrix) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """The numerators of mat as the nonzero (row, column, value) entries of
+    its real and of its imaginary part, as `echelon.GaussianInt` read a
+    generator before it cut one in a single pass."""
+    re_op, im_op = [], []
+    for i, row in enumerate(mat.rows):
+        for j, re, im in row:
+            if re:
+                re_op.append((i, j, re))
+            if im:
+                im_op.append((i, j, im))
+    return re_op, im_op
+
+
+def reference_cut(operator, mat: SparseMatrix, where) -> list[tuple[int, int, tuple]]:
+    """The pieces (source block, target block, op) of mat as `echelon.Split`
+    cut them in two passes: the field's operator(mat), a tuple of parts of
+    (row, column, value) entries, then each part regrouped by the blocks of
+    its rows and columns, where where[i] is the (block, local index) of basis
+    index i.  The oracle of the fields' one-pass `cut`."""
+    op = operator(mat)
+    cut: dict[tuple[int, int], tuple] = {}
+    for p, part in enumerate(op):
+        for i, j, x in part:
+            target, li = where[i]
+            source, lj = where[j]
+            piece = cut.get((source, target))
+            if piece is None:
+                piece = cut[source, target] = tuple([] for _ in op)
+            piece[p].append((li, lj, x))
+    return [(source, target, piece) for (source, target), piece in cut.items()]
 
 
 def _diagonal(values: Iterable[CRational]) -> ExactMatrix:

@@ -613,3 +613,14 @@ def test_rank1_grid_names_the_word_an_oracle_under_reports(monkeypatch):
     monkeypatch.setattr(sl2, "hw_closure", closure)
     _, ok, detail = selftest.check_rank1_grid()
     assert not ok and detail.startswith("params (1, 0): ")
+
+
+def test_rank1_report_checks_cyclicity_in_both_directions(monkeypatch):
+    # the word 0, 1 violates the criterion; with its closure reported full,
+    # the two disagree even though the irreducibility verdict is right
+    hw_closure = sl2.hw_closure
+    monkeypatch.setattr(sl2, "hw_closure", lambda module: (module.dim, hw_closure(module)[1]))
+    report = selftest.rank1_report(selftest.a1_word([0, 1]))
+    assert report["full"] and not report["cyclic_guaranteed"]
+    assert report["criterion"] == "ReducibleProven" and not report["burnside_full"]
+    assert not report["agree"]

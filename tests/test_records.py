@@ -424,7 +424,7 @@ def test_only_sl2_builders_skip_validation():
                         callers.add((path.stem, name, node.id))
     assert callers == {
         ("sl2", "_diagonal", "_canonical"),
-        ("sl2", "irrep_Wm", "_canonical"),
+        ("sl2", "_ladder", "_canonical"),
         ("sl2", "_coproduct", "_canonical"),
         ("sl2", "irrep_Wm", "_unchecked"),
         ("sl2", "tensor", "_unchecked"),

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylcyc import CRational, burnside_dim, hw_closure, irrep_Wm, tensor, word_module
+from weylcyc import CRational, burnside_dim, hw_closure, irrep_Wm, is_cyclic, tensor, word_module
+from weylcyc import FundamentalFactor, LieType, TensorWord
 from weylcyc import echelon, selftest
 from weylcyc.echelon import GaussianInt, Split, rank, saturate
 from weylcyc.sl2 import Sl2Module, SparseMatrix, _split
@@ -27,6 +28,7 @@ from reference import (
     exact_module,
     exact_word_module,
     from_rows,
+    gaussian_operator,
     identity,
     integral_matrix,
     integral_module,
@@ -34,6 +36,7 @@ from reference import (
     local_weyl,
     matmul,
     neg,
+    reference_cut,
     reference_tensor,
     scale,
     sub,
@@ -243,6 +246,21 @@ class ModP:
         reducible, as before the matrices held numerators."""
         lifted = ((i, j, cls.lift(x)) for i, row in enumerate(exact_matrix(mat).rows) for j, x in row)
         return ([entry for entry in lifted if entry[2]],)
+
+    @classmethod
+    def cut(cls, mat, where):
+        """The nonzero entries of mat mod p cut in one pass into one-part
+        pieces (source block, target block, op) between blocks, as
+        `GaussianInt.cut` cuts the numerators."""
+        pieces = {}
+        for i, row in enumerate(exact_matrix(mat).rows):
+            target, li = where[i]
+            for j, x in row:
+                x = cls.lift(x)
+                if x:
+                    source, lj = where[j]
+                    pieces.setdefault((source, target), ([],))[0].append((li, lj, x))
+        return [(source, target, piece) for (source, target), piece in pieces.items()]
 
     @staticmethod
     def apply(op, vec, length):
@@ -724,14 +742,46 @@ big_denominator_fractions = st.builds(
 gaussian_parameters = st.builds(CRational, big_denominator_fractions, big_denominator_fractions)
 
 
+def pivot(v):
+    return next(i for i, x in enumerate(v) if x)
+
+
+def assert_closure_matches_reference(module, closure):
+    """closure, `hw_closure(module)`, against `reference_hw_closure` weight
+    block by weight block: the ranks are equal; the rows of a deficient
+    block are the reference's rows with pivots in that block, in order; the
+    rows of a full block are its unit vectors; and the two bases span the
+    same space."""
+    closure_rank, basis = closure
+    ref_rank, ref_basis = reference_hw_closure(module)
+    assert closure_rank == ref_rank == len(basis)
+    split = module._weight_split
+    for columns, echelon in zip(split.blocks, split.top_closure):
+        rows = [v for v in basis if pivot(v) in columns]
+        if echelon.rank == len(columns):
+            assert rows == [unit(module.dim, i) for i in columns]
+        else:
+            assert rows == [v for v in ref_basis if pivot(v) in columns]
+    assert in_span(basis, ref_basis) and in_span(ref_basis, basis)
+
+
 class TestFractionFreeAgainstReference:
     def test_lift_clears_denominators_and_keeps_direction(self):
         mat = from_rows([[cr(Fraction(1, 6), 2), 0], [cr(0, Fraction(-3, 4)), cr(5)]])
         lifted = integral_matrix(mat)
         assert lifted.den == 12 and exact_matrix(lifted) == mat
-        re_op, im_op = GaussianInt.operator(lifted)
+        re_op, im_op = gaussian_operator(lifted)
         assert re_op == [(0, 0, 2), (1, 1, 60)]
         assert im_op == [(0, 0, 24), (1, 0, -9)]
+        # one block: a single piece holding both parts
+        assert GaussianInt.cut(lifted, [(0, 0), (0, 1)]) == [(0, 0, (re_op, im_op))]
+        # two blocks: entry (1, 0) is the piece from block 0 into block 1;
+        # pieces come in the order of their first entry
+        assert GaussianInt.cut(lifted, [(0, 0), (1, 0)]) == [
+            (0, 0, ([(0, 0, 2)], [(0, 0, 24)])),
+            (0, 1, ([], [(0, 0, -9)])),
+            (1, 1, ([(0, 0, 60)], [])),
+        ]
 
     def test_rows_are_primitive_with_positive_real_lead(self):
         basis = GaussianInt(3)
@@ -768,7 +818,7 @@ class TestFractionFreeAgainstReference:
         assume(prod(m + 1 for m, _, _ in factors) <= 8)
         module = word_module([(m, base + k + cr(0, t)) for m, k, t in factors])
         for image in (module, apply_shift(module, shift)):
-            assert hw_closure(image) == reference_hw_closure(image)
+            assert_closure_matches_reference(image, hw_closure(image))
             assert _split(image, GaussianInt).algebra_rank() == reference_burnside_dim(image)
 
     @given(
@@ -786,7 +836,28 @@ class TestFractionFreeAgainstReference:
         # closures in which pushing only the real part of a residual through
         # the generators would change the span, as in the example (closure 12)
         module = word_module([(1, base + k + cr(0, t)) for k, t in offsets])
-        assert hw_closure(module) == reference_hw_closure(module)
+        assert_closure_matches_reference(module, hw_closure(module))
+
+
+class TestUnitBasisOfFullBlocks:
+    """A full weight block of the top closure takes its unit vectors as
+    basis rows, without reading its echelon rows."""
+
+    def test_full_module_reads_no_echelon_row(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("normalized_rows read a closure")
+
+        monkeypatch.setattr(GaussianInt, "normalized_rows", fail)
+        # the local Weyl module of 3, 2, 1, 0, and a full word with complex
+        # parameters and a factor W_2
+        for factors in ([(1, cr(a)) for a in (3, 2, 1, 0)], [(1, cr(2, 1)), (1, cr(0, 1)), (2, cr(-3))]):
+            module = word_module(factors)
+            rank, basis = hw_closure(module)
+            assert rank == module.dim
+            assert basis == [unit(module.dim, i) for i in range(module.dim)]
+        # the middle block of a deficient closure still reads its rows
+        with pytest.raises(AssertionError, match="normalized_rows"):
+            hw_closure(word_module([(1, cr(0)), (1, cr(1))]))
 
 
 def in_span(rows, vectors):
@@ -994,6 +1065,37 @@ class TestOnePassBuild:
         )
 
 
+class TestOnePassCut:
+    """Each field's one-pass `cut` against `reference_cut`, the field's
+    operator regrouped by blocks: the same pieces, each (source block,
+    target block) at most once per generator."""
+
+    @staticmethod
+    def assert_same_pieces(module, field, operator):
+        where = _split(module, field).where
+        for name in ("xp", "xm", "h0", "hbar1"):
+            mat = getattr(module, name)
+            pieces = field.cut(mat, where)
+            assert sorted(pieces) == sorted(reference_cut(operator, mat, where))
+            assert len({(source, target) for source, target, _ in pieces}) == len(pieces)
+
+    @given(factors=words)
+    @example(factors=[(1, cr(0, Fraction(1, 3))), (1, cr(1, Fraction(1, 3))), (2, cr(Fraction(1, 7), -1))])
+    @settings(max_examples=40, deadline=None)
+    def test_words_with_complex_parts(self, factors):
+        assume(prod(m + 1 for m, _ in factors) <= 64)
+        module = word_module(factors)
+        self.assert_same_pieces(module, GaussianInt, gaussian_operator)
+        self.assert_same_pieces(module, ModP, ModP.operator)
+
+    @given(data=st.data(), diagonal_h0=st.sampled_from([True, True, False]))
+    @settings(max_examples=60, deadline=None)
+    def test_hand_built_modules(self, data, diagonal_h0):
+        module = integral_module(data.draw(hand_built_modules(diagonal_h0)))
+        self.assert_same_pieces(module, GaussianInt, gaussian_operator)
+        self.assert_same_pieces(module, ModP, ModP.operator)
+
+
 class TestSharedLiftAndClosure:
     """A module keeps its lifted generators and its top-vector closure, and
     `hw_closure` and `burnside_dim` share them: the results do not depend on
@@ -1019,7 +1121,7 @@ class TestSharedLiftAndClosure:
         fresh, *orders = self.results_in_every_order(factors)
         assert fresh[0][0] == closure and fresh[1] == algebra
         module = word_module([(m, cr(a)) for m, a in factors])
-        assert fresh[0] == reference_hw_closure(module)
+        assert_closure_matches_reference(module, fresh[0])
         assert all(results == fresh for results in orders)
 
     def test_selftest_words_in_every_order(self):
@@ -1102,6 +1204,22 @@ class TestReversedWord:
     def test_closure_a_of_word_equals_closure_b_of_reversed_word(self, factors):
         closure_a, closure_b = self.closures(factors)
         assert closure_a == closure_b
+
+
+class TestA1CyclicityCriterion:
+    """On A1 words the pairwise criterion decides cyclicity: `is_cyclic`
+    finds no violation iff closure (a), the top vector under the generators,
+    is full."""
+
+    @given(factors=a1_words())
+    @example(factors=[(1, cr(0, 1)), (1, cr(1, 1))])
+    @example(factors=[(1, cr(1, Fraction(-1, 3))), (1, cr(0, Fraction(-1, 3))), (1, cr(1, 1))])
+    @example(factors=[(1, cr(Fraction(1, 2), 1)), (1, cr(Fraction(5, 2), 1)), (1, cr(Fraction(3, 2), 1))])
+    @settings(max_examples=80, deadline=None)
+    def test_no_violation_iff_top_closure_is_full(self, factors):
+        word = TensorWord(LieType("A", 1), tuple(FundamentalFactor(1, a) for _, a in factors))
+        module = word_module(factors)
+        assert (not is_cyclic(word).violations) == (hw_closure(module)[0] == module.dim)
 
 
 class TestShift:
