@@ -52,18 +52,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(text: str, what: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed {what} JSON: {exc}") from None
-    except ValueError:
-        # json reads an integer through int(), which refuses more digits
-        # than sys.get_int_max_str_digits()
-        raise ValueError(
-            f"{what} JSON holds an integer too long to read"
-            f" (more than {sys.get_int_max_str_digits()} digits)"
-        ) from None
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):  # json would keep the last value of a repeated key
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise KeyError(key)
+            seen.add(key)
+    return data
 
 
 def _check_rank(lt: LieType) -> LieType:
@@ -74,7 +71,20 @@ def _check_rank(lt: LieType) -> LieType:
 
 def _load(text: str, what: str, decode):
     """Decode the JSON argument text; its Lie type must be within the rank cap."""
-    obj = decode(_load_json(text, what))
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from None
+    except KeyError as exc:  # from _unique_keys
+        raise ValueError(f"{what} JSON has the key {exc.args[0]!r} twice") from None
+    except ValueError:
+        # json reads an integer through int(), which refuses more digits
+        # than sys.get_int_max_str_digits()
+        raise ValueError(
+            f"{what} JSON holds an integer too long to read"
+            f" (more than {sys.get_int_max_str_digits()} digits)"
+        ) from None
+    obj = decode(data)
     _check_rank(obj.type)
     return obj
 

@@ -2,7 +2,9 @@
 wire formats.
 
 Everything is exact: spectral parameters are Gaussian rationals and monic
-polynomials are stored as root multisets.
+polynomials are stored as root multisets.  Each decoder reads its wire
+objects through `read_object`, which checks their keys; the records check
+the type of each field.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class FundamentalFactor(Record):
     param: CRational
 
     def _check(self):
-        require_int(self.node, "node")
+        require_int(self.node, "factor 'node'")
         if type(self.param) is not CRational:
             raise ValueError(f"param must be a CRational, got {self.param!r}")
 
@@ -208,14 +210,20 @@ def type_from_json(value) -> LieType:
     return LieType.parse(value)
 
 
-def reject_unknown_keys(data: dict, known: tuple[str, ...], what: str) -> None:
-    """Raise ValueError naming a key of the wire object `data` that its
-    decoder does not read; `data` already holds every key in `known`."""
-    if len(data) > len(known):
-        key = next(key for key in data if key not in known)
-        raise ValueError(
-            f"{what} has an unknown key {key!r}; it takes only {' and '.join(map(repr, known))}"
-        )
+def read_object(data, keys: tuple[str, ...], what: str) -> list:
+    """The values of the wire object `data` under `keys`, in that order.
+
+    Raise ValueError, naming `what`, unless `data` is a JSON object with
+    exactly these keys; the message names a missing or an unknown key."""
+    if not isinstance(data, dict):
+        problem = "is not a JSON object"
+    elif missing := [key for key in keys if key not in data]:
+        problem = f"has no key {missing[0]!r}"
+    elif len(data) > len(keys):
+        problem = f"has an unknown key {next(key for key in data if key not in keys)!r}"
+    else:
+        return [data[key] for key in keys]
+    raise ValueError(f"{what} {problem}; it takes only {' and '.join(map(repr, keys))}")
 
 
 def _parse_param(value, field: str) -> CRational:
@@ -237,22 +245,14 @@ def word_to_dict(w: TensorWord) -> dict:
 
 
 def word_from_dict(data: dict) -> TensorWord:
-    if not isinstance(data, dict) or "type" not in data or "factors" not in data:
-        raise ValueError("word JSON must have 'type' and 'factors' keys")
-    reject_unknown_keys(data, ("type", "factors"), "word JSON")
-    lt = type_from_json(data["type"])
-    factors = []
-    if not isinstance(data["factors"], list):
+    lie_type, entries = read_object(data, ("type", "factors"), "word JSON")
+    lt = type_from_json(lie_type)
+    if not isinstance(entries, list):
         raise ValueError("'factors' must be a list")
-    for entry in data["factors"]:
-        if not isinstance(entry, dict) or "node" not in entry or "a" not in entry:
-            raise ValueError(f"bad factor entry {entry!r}: need 'node' and 'a'")
-        reject_unknown_keys(entry, ("node", "a"), f"factor entry {entry!r}")
-        node = entry["node"]
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise ValueError(f"factor 'node' must be an integer, got {node!r}")
-        param = _parse_param(entry["a"], "factor 'a'")
-        factors.append(FundamentalFactor(node, param))
+    factors = []
+    for i, entry in enumerate(entries, start=1):
+        node, a = read_object(entry, ("node", "a"), f"factor entry {i}")
+        factors.append(FundamentalFactor(node, _parse_param(a, "factor 'a'")))
     return TensorWord(lt, tuple(factors))
 
 
@@ -264,11 +264,8 @@ def tuple_to_dict(t: DrinfeldTuple) -> dict:
 
 
 def tuple_from_dict(data: dict) -> DrinfeldTuple:
-    if not isinstance(data, dict) or "type" not in data or "polys" not in data:
-        raise ValueError("tuple JSON must have 'type' and 'polys' keys")
-    reject_unknown_keys(data, ("type", "polys"), "tuple JSON")
-    lt = type_from_json(data["type"])
-    polys = data["polys"]
+    lie_type, polys = read_object(data, ("type", "polys"), "tuple JSON")
+    lt = type_from_json(lie_type)
     if not isinstance(polys, list) or len(polys) != lt.rank:
         raise ValueError(f"'polys' must be a list of {lt.rank} root lists")
     out = []

@@ -86,7 +86,7 @@ class Record:
 def require_int(value, what: str) -> None:
     """Raise ValueError unless value is an int and not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an int, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class LieType(Record):

@@ -148,13 +148,10 @@ class Sl2Module(Record):
         return self.xp.n
 
     def _check(self):
-        if not (
-            type(self.xp) is type(self.xm) is type(self.h0) is type(self.hbar1) is SparseMatrix
-        ):
-            for name in ("xp", "xm", "h0", "hbar1"):
-                if type(getattr(self, name)) is not SparseMatrix:
-                    kind = type(getattr(self, name)).__name__
-                    raise ValueError(f"generator {name} must be a SparseMatrix, got a {kind}")
+        for name in ("xp", "xm", "h0", "hbar1"):
+            if type(getattr(self, name)) is not SparseMatrix:
+                kind = type(getattr(self, name)).__name__
+                raise ValueError(f"generator {name} must be a SparseMatrix, got a {kind}")
         n = self.xp.n
         if not (self.xm.n == self.h0.n == self.hbar1.n == n):
             raise ValueError("operator dimensions disagree")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .drinfeld import DrinfeldTuple, reject_unknown_keys, type_from_json
+from .drinfeld import DrinfeldTuple, read_object, type_from_json
 from .rootsys import LieType, Record, require_int
 
 
@@ -29,11 +29,11 @@ class FundamentalDimTable(Record):
     def _check(self):
         for node, value in self.dims.items():
             require_int(node, "table node")
-            require_int(value, f"dimension for node {node}")
+            require_int(value, f"'dims' entry for node {node}")
             if not (1 <= node <= self.type.rank):
                 raise ValueError(f"table node {node} out of range 1..{self.type.rank}")
             if value < 1:
-                raise ValueError(f"dimension for node {node} must be positive")
+                raise ValueError(f"'dims' entry for node {node} must be positive")
 
 
 def builtin_table(lt: LieType) -> FundamentalDimTable:
@@ -53,21 +53,15 @@ def builtin_table(lt: LieType) -> FundamentalDimTable:
 
 def table_from_dict(data: dict) -> FundamentalDimTable:
     """Parse {"type": "C3", "dims": {"1": 6, "2": 14, "3": 14}}."""
-    if not isinstance(data, dict) or "type" not in data or "dims" not in data:
-        raise ValueError("table JSON must have 'type' and 'dims' keys")
-    reject_unknown_keys(data, ("type", "dims"), "table JSON")
-    lt = type_from_json(data["type"])
-    if not isinstance(data["dims"], dict):
+    lie_type, entries = read_object(data, ("type", "dims"), "table JSON")
+    lt = type_from_json(lie_type)
+    if not isinstance(entries, dict):
         raise ValueError("'dims' must map node strings to integers")
     dims = {}
-    for key, value in data["dims"].items():
-        text = str(key)
-        if not (text.isdecimal() and str(int(text)) == text):
+    for key, value in entries.items():
+        if not (isinstance(key, str) and key.isdecimal() and str(int(key)) == key):
             raise ValueError(f"bad node key {key!r}: must be a decimal integer such as '1'")
-        node = int(text)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"'dims' entry for node {key} must be an integer, got {value!r}")
-        dims[node] = value
+        dims[int(key)] = value
     return FundamentalDimTable(lt, dims, "user")
 
 

@@ -682,28 +682,10 @@ def s_set_table(lt: LieType, bm: int, bn: int) -> frozenset[Fraction]:
     return frozenset(vals)
 
 
-def reference_cyclic_violations(w: TensorWord) -> tuple[PairViolation, ...]:
-    """The quadratic loop is_cyclic ran before the shared scan.  The S-set
-    of each node pair is built once per call (`s_set` keeps no cache)."""
-    data = cartan_data(w.type)
-    s_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
-    violations = []
-    factors = w.factors
-    for m in range(len(factors)):
-        for n in range(m + 1, len(factors)):
-            diff = factors[n].param - factors[m].param
-            if is_real(diff) and diff.re > 0:  # every S-set member is positive (SSet)
-                nodes = factors[m].node, factors[n].node
-                if nodes not in s_sets:
-                    s_sets[nodes] = s_set(data, *nodes).values
-                if diff.re in s_sets[nodes]:
-                    violations.append(PairViolation(m + 1, n + 1, diff, diff.re))
-    return tuple(violations)
-
-
 def reference_irreducible_violations(w: TensorWord) -> tuple[PairViolation, ...]:
     """The loop over all ordered pairs is_irreducible ran before the shared
-    scan, with the S-sets built once per call as above."""
+    scan.  The S-set of each node pair is built once per call (`s_set`
+    keeps no cache)."""
     data = cartan_data(w.type)
     s_sets: dict[tuple[int, int], frozenset[Fraction]] = {}
     violations = []
@@ -713,13 +695,19 @@ def reference_irreducible_violations(w: TensorWord) -> tuple[PairViolation, ...]
             if i == j:
                 continue
             diff = factors[j].param - factors[i].param
-            if is_real(diff) and diff.re > 0:
+            if is_real(diff) and diff.re > 0:  # every S-set member is positive (SSet)
                 nodes = factors[i].node, factors[j].node
                 if nodes not in s_sets:
                     s_sets[nodes] = s_set(data, *nodes).values
                 if diff.re in s_sets[nodes]:
                     violations.append(PairViolation(i + 1, j + 1, diff, diff.re))
     return tuple(violations)
+
+
+def reference_cyclic_violations(w: TensorWord) -> tuple[PairViolation, ...]:
+    """The pairs m < n of the loop above, in the same (m, n) order: the
+    quadratic loop is_cyclic ran before the shared scan."""
+    return tuple(v for v in reference_irreducible_violations(w) if v.m < v.n)
 
 
 def planted_word(rng, lt, length, n_fwd, n_bwd, n_complex):

@@ -175,29 +175,66 @@ def test_non_ascii_digit_exit_one(capsys, argv, field):
 
 
 C3_TUPLE = '{"type":"C3","polys":[["0"],[],[]]}'
+TAKES_WORD = "; it takes only 'type' and 'factors'"
+TAKES_FACTOR = "; it takes only 'node' and 'a'"
+TAKES_TUPLE = "; it takes only 'type' and 'polys'"
+TAKES_TABLE = "; it takes only 'type' and 'dims'"
+
+
+def with_table(table):
+    return ["dims", "--tuple", C3_TUPLE, "--table", table]
 
 
 @pytest.mark.parametrize(
-    "argv, key",
+    "argv, named",
     [
-        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/2"}],"extra":1}'], "extra"),
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/2"}],"extra":1}'],
+         "unknown key 'extra'"),
         (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"1/2","b":2}]}', "--irreducible"],
-         "b"),
-        (["dual", "--word", '{"type":"A1","factors":[{"node":1,"a":"0"}],"kappa":"1"}'], "kappa"),
-        (["sl2-oracle", "--word", '{"type":"A1","factors":[{"a":"0","node":1,"m":1}]}'], "m"),
-        (["factorize", "--tuple", '{"type":"A1","polys":[["1"]],"degrees":[1]}'], "degrees"),
+         "unknown key 'b'"),
+        (["dual", "--word", '{"type":"A1","factors":[{"node":1,"a":"0"}],"kappa":"1"}'],
+         "unknown key 'kappa'"),
+        (["sl2-oracle", "--word", '{"type":"A1","factors":[{"a":"0","node":1,"m":1}]}'],
+         "unknown key 'm'"),
+        (["factorize", "--tuple", '{"type":"A1","polys":[["1"]],"degrees":[1]}'], "unknown key 'degrees'"),
         (["dims", "--tuple", '{"type":"C3","polys":[["0"],[],[]],"":0}', "--table",
-          '{"type":"C3","dims":{"1":6}}'], ""),
-        (["dims", "--tuple", C3_TUPLE, "--table", '{"type":"C3","dims":{"1":6},"source":"user"}'],
-         "source"),
+          '{"type":"C3","dims":{"1":6}}'], "unknown key ''"),
+        (with_table('{"type":"C3","dims":{"1":6},"source":"user"}'), "unknown key 'source'"),
+        (["check", "--word", "[]"], "word JSON is not a JSON object" + TAKES_WORD),
+        (["check", "--word", '{"type":"A1"}'], "word JSON has no key 'factors'" + TAKES_WORD),
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"0"}],"type":"A2"}'],
+         "word JSON has the key 'type' twice"),
+        (["check", "--word", '{"type":"A1","factors":["1"]}'],
+         "factor entry 1 is not a JSON object" + TAKES_FACTOR),
+        (["dual", "--word", '{"type":"A1","factors":[{"node":1,"a":"0"},{"node":1}]}'],
+         "factor entry 2 has no key 'a'" + TAKES_FACTOR),
+        (["check", "--word", '{"type":"A1","factors":[{"node":1,"a":"0","a":"1"}]}'],
+         "word JSON has the key 'a' twice"),
+        (["factorize", "--tuple", '"A1"'], "tuple JSON is not a JSON object" + TAKES_TUPLE),
+        (["factorize", "--tuple", '{"polys":[["1"]]}'], "tuple JSON has no key 'type'" + TAKES_TUPLE),
+        (["factorize", "--tuple", '{"type":"A1","polys":[["1"]],"polys":[["2"]]}'],
+         "tuple JSON has the key 'polys' twice"),
+        (with_table("[6, 14, 14]"), "table JSON is not a JSON object" + TAKES_TABLE),
+        (with_table('{"type":"C3"}'), "table JSON has no key 'dims'" + TAKES_TABLE),
+        (with_table('{"type":"C3","dims":{"1":6},"dims":{"1":7}}'),
+         "table JSON has the key 'dims' twice"),
+        (with_table('{"type":"C3","dims":{"1":6,"1":7}}'), "table JSON has the key '1' twice"),
     ],
-    ids=["word", "factor", "dual", "oracle factor", "tuple", "empty key", "table"],
+    ids=[
+        "word", "factor", "dual", "oracle factor", "tuple", "empty key", "table",
+        "word not an object", "word missing key", "word duplicate key",
+        "factor not an object", "factor missing key", "factor duplicate key",
+        "tuple not an object", "tuple missing key", "tuple duplicate key",
+        "table not an object", "table missing key", "table duplicate key", "table duplicate node",
+    ],
 )
-def test_unknown_json_key_exit_one(capsys, argv, key):
-    # a key the decoder does not read is an error, never silently dropped
+def test_unknown_json_key_exit_one(capsys, argv, named):
+    # a wire object that is not an object, lacks a key, holds a key its
+    # decoder does not read or repeats a key is an error naming the key,
+    # never silently dropped
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert f"unknown key {key!r}" in err
+    assert named in err
 
 
 def test_dual_reports_kappa(capsys):

@@ -343,10 +343,10 @@ ROW = (((0, 1, 0),),)
             lambda: FundamentalDimTable(A2, {1.0: 2}, "user"), "table node", id="table float node"
         ),
         pytest.param(
-            lambda: FundamentalDimTable(A2, {1: 2.5}, "user"), "dimension for node 1", id="float dim"
+            lambda: FundamentalDimTable(A2, {1: 2.5}, "user"), "'dims' entry for node 1", id="float dim"
         ),
         pytest.param(
-            lambda: FundamentalDimTable(A2, {2: True}, "user"), "dimension for node 2", id="bool dim"
+            lambda: FundamentalDimTable(A2, {2: True}, "user"), "'dims' entry for node 2", id="bool dim"
         ),
         pytest.param(lambda: SparseMatrix(list(ROW), 1), "rows", id="rows list"),
         pytest.param(lambda: SparseMatrix(([(0, 1, 0)],), 1), "row 0", id="row list"),
