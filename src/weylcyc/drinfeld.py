@@ -162,7 +162,7 @@ class DrinfeldTuple(Record):
         _require_tuple_of(self.polys, MonicPoly, "polys")
         if len(self.polys) != self.type.rank:
             raise ValueError(
-                f"{self.type} needs {self.type.rank} polynomials, got {len(self.polys)}"
+                f"'polys' of {self.type} needs {self.type.rank} polynomials, got {len(self.polys)}"
             )
 
 
@@ -266,8 +266,8 @@ def tuple_to_dict(t: DrinfeldTuple) -> dict:
 def tuple_from_dict(data: dict) -> DrinfeldTuple:
     lie_type, polys = read_object(data, ("type", "polys"), "tuple JSON")
     lt = type_from_json(lie_type)
-    if not isinstance(polys, list) or len(polys) != lt.rank:
-        raise ValueError(f"'polys' must be a list of {lt.rank} root lists")
+    if not isinstance(polys, list):
+        raise ValueError("'polys' must be a list of root lists")
     out = []
     for roots in polys:
         if not isinstance(roots, list):

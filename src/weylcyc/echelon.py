@@ -1,11 +1,21 @@
-"""Exact row echelon forms and the saturation loop of the rank-1 oracles.
+"""Row echelon forms and the saturation loop of the rank-1 oracles.
 
-A field is an echelon-form class, here `GaussianInt`, fraction-free over
-the Gaussian integers.  field(length) is an empty echelon form of vectors of
-that length, field.cut reads an `sl2.SparseMatrix` once and cuts it into
-ops between blocks (an op is a tuple of parts, each a list of (row, column,
-value) entries), field.apply applies an op to a vector, and field.unit builds
-a 0/1 seed vector.
+A field is an echelon-form class: `ModP`, over the prime field F_p, or
+`GaussianInt`, exact and fraction-free over the Gaussian integers.
+field(length) is an empty echelon form of vectors of that length, field.cut
+reads an `sl2.SparseMatrix` once and cuts it into ops between blocks (an op
+is a tuple of parts, each a list of (row, column, value) entries),
+field.apply applies an op to a vector, and field.unit builds a 0/1 seed
+vector.
+
+`ModP` is a certificate of full rank, not an approximation.  It reduces the
+Gaussian-integer numerators through the ring map Z[i] -> F_p, re + im i ->
+re + im R (R^2 = -1 mod p), which sends each word in the matrices to the
+same word in the reduced matrices.  A set of vectors independent mod p is
+independent over Q(i), so a rank mod p is at most the exact rank, even when
+p divides a numerator or a denominator; a full rank mod p is therefore the
+exact rank.  A deficient rank mod p proves nothing, and the caller runs the
+exact field.
 
 `saturate` closes the span of seeds under ops on a graded space: a direct
 sum of blocks, with vectors as (block, local vector) pairs, ops that each
@@ -37,6 +47,79 @@ def _sparse_apply(entries, vec: list, out: list) -> list:
         if y:
             out[i] += x * y
     return out
+
+
+# F_p of `ModP`: P is prime, P = 1 (mod 4), and R^2 = -1 (mod P).
+P = 1_000_000_009
+R = 430_477_711
+
+
+class ModP:
+    """Row echelon form over F_p, p = `P`, on plain ints.
+
+    A vector is a list of ints, reduced mod p only where a row is made: the
+    reduction of one vector leaves its entries large, and its lead is tested
+    mod p.  A row is normalized to lead 1 with entries in [0, p), and rows
+    are kept sorted by pivot, each as (pivot, nonzeros as (column, entry)
+    pairs).
+    """
+
+    def __init__(self, length: int):
+        self.length = length
+        self.rows: list[tuple[int, list[tuple[int, int]]]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @staticmethod
+    def cut(mat, where) -> list[tuple[int, int, tuple[list]]]:
+        """The numerators of mat reduced mod p, re + im i -> re + im R, cut
+        into pieces between blocks as `GaussianInt.cut` cuts them; an op is
+        a one-part tuple of its nonzero (row, column, value) entries."""
+        pieces: dict[tuple[int, int], tuple[list]] = {}
+        for i, row in enumerate(mat.rows):
+            target, li = where[i]
+            for j, re, im in row:
+                x = (re + im * R) % P
+                if x:
+                    source, lj = where[j]
+                    piece = pieces.get((source, target))
+                    if piece is None:
+                        piece = pieces[source, target] = ([],)
+                    piece[0].append((li, lj, x))
+        return [(source, target, piece) for (source, target), piece in pieces.items()]
+
+    @staticmethod
+    def apply(op, vec: list[int], length: int) -> list[int]:
+        """op times vec, a vector of the given length."""
+        return _sparse_apply(op[0], vec, [0] * length)
+
+    @staticmethod
+    def unit(length: int, indices: Iterable[int]) -> list[int]:
+        v = [0] * length
+        for i in indices:
+            v[i] = 1
+        return v
+
+    def insert(self, vec: list[int]):
+        """Reduce vec against the rows; return the residual with lead 1 and
+        entries in [0, p) (and extend the span) or None if vec was already
+        in the span mod p.  Consumes vec: it is reduced in place."""
+        for pivot, row in self.rows:
+            c = vec[pivot] % P
+            if c:
+                for j, x in row:
+                    vec[j] -= c * x
+        for lead in range(self.length):
+            if vec[lead] % P:
+                break
+        else:
+            return None
+        inv = pow(vec[lead], -1, P)
+        vec = [x * inv % P for x in vec]
+        insort(self.rows, (lead, [(j, x) for j, x in enumerate(vec) if x]), key=lambda r: r[0])
+        return vec
 
 
 class GaussianInt:
@@ -102,10 +185,7 @@ class GaussianInt:
 
     @staticmethod
     def unit(length: int, indices: Iterable[int]) -> tuple[list[int], list[int]]:
-        v = [0] * length
-        for i in indices:
-            v[i] = 1
-        return v, [0] * length
+        return ModP.unit(length, indices), [0] * length
 
     def insert(self, vec: tuple[list[int], list[int]]):
         """Reduce vec against the rows; return the primitive residual (and
@@ -184,24 +264,27 @@ def saturate(field, sizes: Sequence[int], ops, seeds) -> list:
     nothing new or the span fills the space.  The seed vectors are consumed.
     """
     echelons = [field(size) for size in sizes]
-    length = sum(sizes)
+    room = list(sizes)  # per block, the dimensions its span still lacks
     frontier = [(b, r) for b, vec in seeds if (r := echelons[b].insert(vec)) is not None]
-    rank = len(frontier)
+    for b, _ in frontier:
+        room[b] -= 1
+    length, apply = sum(sizes), field.apply
+    missing = length - len(frontier)
     rounds = 0
-    while frontier and rank < length:
+    while frontier and missing:
         rounds += 1
         if rounds > length + 1:
             raise RuntimeError("saturation failed to stabilize; arithmetic bug")
         new = []
         for block, v in frontier:
             for target, op in ops[block]:
-                echelon, size = echelons[target], sizes[target]
-                if echelon.rank < size:
-                    residual = echelon.insert(field.apply(op, v, size))
+                if room[target]:
+                    residual = echelons[target].insert(apply(op, v, sizes[target]))
                     if residual is not None:
                         new.append((target, residual))
-                        rank += 1
-            if rank == length:
+                        room[target] -= 1
+                        missing -= 1
+            if not missing:
                 break
         frontier = new
     return echelons
@@ -257,8 +340,10 @@ class Split:
 
         A block whose echelon form has full rank spans the whole block, so
         its rows are the block's unit vectors, the reduced echelon form, and
-        no row is read.  The rows of a deficient block are its echelon rows
-        divided by their leads (`GaussianInt.normalized_rows`)."""
+        no row is read: a full closure of any field gives the same basis.
+        The rows of a deficient block are its echelon rows divided by their
+        leads (`GaussianInt.normalized_rows`), so a deficient closure must
+        be exact."""
         length = len(self.where)
         rows = []
         for columns, echelon in zip(self.blocks, self.top_closure):
@@ -272,26 +357,38 @@ class Split:
         rows.sort(key=lambda row: row[0])
         return [v for _, v in rows]
 
+    @property
+    def top_alone(self) -> bool:
+        """The guard of `cocyclic`: top is alone in its block."""
+        return self.sizes[self.where[self.top][0]] == 1
+
+    def top_full(self) -> bool:
+        """Closure (a) of `cocyclic`: top_closure is the whole space."""
+        return rank(self.top_closure) == len(self.where)
+
+    def dual_full(self) -> bool:
+        """Closure (b) of `cocyclic`, made on each call: the closure of the
+        top coordinate functional under the transposed pieces is the whole
+        dual space."""
+        transposed = [
+            (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
+            for source, target, op in self.pieces
+        ]
+        return rank(self._closure(transposed)) == len(self.where)
+
     def cocyclic(self) -> bool:
         """A is the algebra of all matrices, decided by two closures of
         dimension n instead of one of dimension n^2.
 
         The guard: top is alone in its block, so its block projection
         e_top e_top^T lies in A.  The test: (a) the top vector generates the
-        space, A e_top = V (top_closure), and (b) the top coordinate
-        functional generates the dual under the transposed pieces,
-        e_top^T A = V*.  Then A holds (A e_top)(e_top^T A), every rank-one
+        space, A e_top = V (top_full), and (b) the top coordinate functional
+        generates the dual under the transposed pieces, e_top^T A = V*
+        (dual_full).  Then A holds (A e_top)(e_top^T A), every rank-one
         matrix, so A is full; and a full A passes both.  The guard is checked
-        first, and no closure is made when it fails.
+        first, and no closure is made when it fails, nor (b) when (a) fails.
         """
-        n = len(self.where)
-        if self.sizes[self.where[self.top][0]] != 1 or rank(self.top_closure) < n:
-            return False
-        transposed = [
-            (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
-            for source, target, op in self.pieces
-        ]
-        return rank(self._closure(transposed)) == n
+        return self.top_alone and self.top_full() and self.dual_full()
 
     def algebra_rank(self) -> int:
         """Dimension over the field of A, the unital algebra generated by
@@ -315,11 +412,12 @@ class Split:
             ops = [[] for _ in sizes]
             for source, target, op in self.pieces:
                 rt, rs = sizes[target], sizes[source]
-                widened = tuple(
-                    [(j * rt + i, j * rs + k, x) for j in range(width) for i, k, x in part]
-                    for part in op
-                )
-                ops[source].append((target, widened))
+                if width > 1:  # a class of width 1 takes the pieces as they are
+                    op = tuple(
+                        [(j * rt + i, j * rs + k, x) for j in range(width) for i, k, x in part]
+                        for part in op
+                    )
+                ops[source].append((target, op))
             seed = field.unit(width * width, [i * width + i for i in range(width)])
             total += rank(saturate(field, [size * width for size in sizes], ops, [(nu, seed)]))
         return total

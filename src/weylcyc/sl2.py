@@ -15,9 +15,14 @@ Two linear-algebra oracles decide structure: `hw_closure` computes the
 submodule generated by the top vector, and `burnside_dim` the dimension of
 the generated matrix algebra (full iff the module is irreducible over the
 complex field).  Both run in `echelon.Split`, which this module hands the
-generators, the weight spaces of h0 as blocks and the top index, once per
-module: its closures and algebra rank are graded by weight, and run
-fraction-free elimination on Gaussian integers.
+generators, the weight spaces of h0 as blocks and the top index: its
+closures and algebra rank are graded by weight.  Each module makes at most
+two splits, over F_p (`echelon.ModP`) first and over the Gaussian integers
+(`echelon.GaussianInt`, fraction-free and exact) only when a closure is
+not full mod p.  A rank mod p is at most the exact rank, so a closure full
+mod p is full exactly: the F_p pass certifies a full closure, and a
+deficient one mod p is decided again exactly.  Every result is the exact
+one.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .drinfeld import CRational
-from .echelon import GaussianInt, Split, rank
+from .echelon import GaussianInt, ModP, Split, rank
 from .rootsys import Record, _set, require_int
 
 
@@ -118,10 +123,11 @@ class Sl2Module(Record):
     The public constructor validates its fields (`_check`); `irrep_Wm` and
     `tensor`, which write them by construction, go through `_unchecked`.
 
-    The module is immutable, so its `Split` over `GaussianInt` (the
-    generators' numerators cut between weight spaces, and the closure of the
-    top vector) is made at most once per module and kept in its `__dict__`,
-    not a field: ==, hash, repr and pickling see the generators and top_index.
+    The module is immutable, so its `Split` over `ModP` and its `Split`
+    over `GaussianInt` (the generators' numerators cut between weight
+    spaces, and the closure of the top vector) are each made at most once
+    per module and kept in its `__dict__`, not as fields: ==, hash, repr and
+    pickling see the generators and top_index.
     """
 
     __slots__ = ("xp", "xm", "h0", "hbar1", "top_index", "__dict__")
@@ -158,6 +164,10 @@ class Sl2Module(Record):
         require_int(self.top_index, "top index")
         if not 0 <= self.top_index < n:
             raise ValueError("top index out of range")
+
+    @cached_property
+    def _mod_p_split(self) -> Split:
+        return _split(self, ModP)
 
     @cached_property
     def _weight_split(self) -> Split:
@@ -312,8 +322,11 @@ def _split(module: Sl2Module, field) -> Split:
 
 def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """Smallest subspace containing the top vector and invariant under the
-    four generators, by iterated application and fraction-free row reduction
-    over the Gaussian integers to a fixpoint (`Split.top_closure`).
+    four generators, by iterated application and row reduction to a
+    fixpoint (`Split.top_closure`): over F_p first, and by fraction-free
+    elimination over the Gaussian integers only when the closure mod p is
+    not the whole module.  A full closure mod p is full exactly (see the
+    module docstring), and every result is the exact one.
 
     Returns the dimension and an echelon basis, each vector with lead entry
     1, in increasing pivot order (`Split.top_basis`): the unit vectors of
@@ -323,10 +336,12 @@ def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     because every higher mode is an iterated hbar1-bracket of them.  When h0
     is diagonal the closure is h0-invariant, hence the sum of its
     intersections with the weight spaces, and it is saturated weight space
-    by weight space; every vector it makes is a weight vector.  The closure
+    by weight space; every vector it makes is a weight vector.  Each closure
     is made once per module and shared with `burnside_dim`.
     """
-    split = module._weight_split
+    split = module._mod_p_split
+    if not split.top_full():
+        split = module._weight_split
     return rank(split.top_closure), split.top_basis()
 
 
@@ -343,12 +358,21 @@ def burnside_dim(module: Sl2Module) -> int:
     that the top vector spans its block, holds iff h0 is diagonal and the top
     weight occurs once on its diagonal (a non-diagonal h0 gives one block of
     size dim > 1), and every rank-1 tensor word passes it.  Its closure (a)
-    is the one `hw_closure` makes.  When the guard or either closure fails,
-    the algebra is saturated exactly, one column class A E_nu per h0-weight
-    nu (`Split.algebra_rank`), and its rank is returned.
+    is the one `hw_closure` makes.  The test runs over F_p first, whose full
+    closures are full exactly.  When it fails there, each closure that was
+    not full mod p is made again exactly, and a closure already full mod p
+    is not.  When the guard or an exact closure fails, the algebra is
+    saturated exactly, one column class A E_nu per h0-weight nu
+    (`Split.algebra_rank`), and its rank is returned.
     """
+    n = module.dim
+    fast = module._mod_p_split
+    if fast.cocyclic():
+        return n * n
     split = module._weight_split
-    return module.dim * module.dim if split.cocyclic() else split.algebra_rank()
+    if split.top_alone and (fast.top_full() or split.top_full()) and split.dual_full():
+        return n * n
+    return split.algebra_rank()
 
 
 def word_module(factors: Iterable[tuple[int, object]]) -> Sl2Module:

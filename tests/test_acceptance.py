@@ -7,11 +7,15 @@ bounds are the per-criterion runtime budgets.
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +330,26 @@ def test_criterion_17_check_cost_is_flat_in_the_rank():
         (v.m, v.n, str(v.diff), str(v.member)) for v in expected
     ]
     assert expected and len(got) > len(expected)
+
+
+def test_criterion_18_factorize_with_large_parameters():
+    # nine complex roots whose parts have 6-digit numerators and distinct
+    # 6-digit denominators: closing the module over the Gaussian integers
+    # alone took 46-82 s per process
+    rng = random.Random(118)
+    dens = rng.sample(range(100_000, 1_000_000), 18)
+    roots = [
+        f"{rng.randint(-999_999, 999_999)}/{dens[2 * k]}+{rng.randint(100_000, 999_999)}/{dens[2 * k + 1]}i"
+        for k in range(9)
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["factorize", "--tuple", json.dumps({"type": "A1", "polys": [roots]})]
+    with criterion(18, "factorize process on 9 roots with 6-digit complex parts: full closure 512", 10):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from weylcyc.cli import main; sys.exit(main())", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert (report["closure_dim"], report["dim"], report["full"]) == (512, 512, True)

@@ -237,6 +237,21 @@ def test_unknown_json_key_exit_one(capsys, argv, named):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "polys, message",
+    [
+        ('[["1"]]', "'polys' of A2 needs 2 polynomials, got 1"),
+        ('[["1"],[],["2"]]', "'polys' of A2 needs 2 polynomials, got 3"),
+        ('{"1":["1"]}', "'polys' must be a list of root lists"),
+    ],
+)
+def test_tuple_polys_count_is_one_rule(capsys, polys, message):
+    # the decoder checks only that 'polys' is a list; DrinfeldTuple checks
+    # its length, with one message for library and command-line callers
+    code, out, err = run(capsys, "factorize", "--tuple", f'{{"type":"A2","polys":{polys}}}')
+    assert code == 1 and out == "" and message in err
+
+
 def test_dual_reports_kappa(capsys):
     word = '{"type":"A2","factors":[{"node":1,"a":"0"},{"node":2,"a":"1"}]}'
     code, out, _ = run(capsys, "dual", "--word", word)

@@ -29,6 +29,7 @@ from weylcyc import (
     SSet,
     TensorWord,
     TSet,
+    burnside_dim,
     cartan_data,
     hw_closure,
     irrep_Wm,
@@ -274,9 +275,14 @@ def test_crational_pickles_and_deepcopies():
 @quick
 @given(factors=st.lists(st.tuples(st.integers(1, 2), fractions), min_size=1, max_size=2))
 def test_module_cache_is_not_a_field(factors):
+    # both cached splits, the one over F_p and the exact one, with the top
+    # closure of each made
     closed, fresh = word_module(factors), word_module(factors)
     hw_closure(closed)
-    assert "_weight_split" in closed.__dict__
+    burnside_dim(closed)
+    closed._weight_split.top_closure
+    assert {"_mod_p_split", "_weight_split"} <= closed.__dict__.keys()
+    assert "top_closure" in closed._mod_p_split.__dict__
     assert closed == fresh and hash(closed) == hash(fresh) and repr(closed) == repr(fresh)
     assert closed.__reduce__() == fresh.__reduce__()
     assert not pickle.loads(pickle.dumps(closed)).__dict__

@@ -298,6 +298,15 @@ class ModP:
         return v
 
 
+def numerators_mod_p(mat):
+    """The entries of mat times its denominator, its numerators, reduced
+    by the reference `ModP`: the one part of nonzero (row, column, value)
+    entries that `echelon.ModP` cuts."""
+    den = CRational(mat.den)
+    lifted = ((i, j, ModP.lift(x * den)) for i, row in enumerate(exact_matrix(mat).rows) for j, x in row)
+    return ([entry for entry in lifted if entry[2]],)
+
+
 # Gaussian rationals, zero about half the time, small enough that sums cancel.
 gaussian = st.one_of(
     st.just(ZERO),
@@ -587,17 +596,25 @@ NON_DIAGONAL_H0 = (
 
 @pytest.fixture
 def saturation_lengths(monkeypatch):
-    """The block lengths of each saturation sl2 runs from here on, closures
-    and column classes alike; the vector length of a saturation is their
-    sum."""
+    """The field and block lengths, as (field, sizes), of each saturation sl2
+    runs from here on, closures and column classes alike; the vector length
+    of a saturation is the sum of its sizes."""
     lengths = []
 
     def spy(field, sizes, ops, seeds):
-        lengths.append(list(sizes))
+        lengths.append((field, list(sizes)))
         return saturate(field, sizes, ops, seeds)
 
     monkeypatch.setattr(echelon, "saturate", spy)
     return lengths
+
+
+def total_length(saturations):
+    return sum(sum(sizes) for _, sizes in saturations)
+
+
+# the exact column classes A E_nu of a reducible W_1 x W_1, weights -2, 0, 2
+CLASSES_OF_FOUR = [(GaussianInt, [1, 2, 1]), (GaussianInt, [2, 4, 2]), (GaussianInt, [1, 2, 1])]
 
 
 class TestBurnside:
@@ -638,28 +655,34 @@ class TestBurnside:
         assert burnside_dim(module) == expected
 
     def test_full_module_runs_no_algebra_saturation(self, saturation_lengths):
-        # two closures of length dim = 4, on the weight spaces -2, 0, 2
+        # two closures of length dim = 4, on the weight spaces -2, 0, 2, both
+        # mod p: nothing runs exactly
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
-        assert saturation_lengths == [[1, 2, 1], [1, 2, 1]]
+        assert saturation_lengths == [(echelon.ModP, [1, 2, 1])] * 2
         saturation_lengths.clear()
-        # a reducible module pays the dim^2 saturation after the closures (the
-        # first already fails): one saturation per column class A E_nu, of
-        # length 4 |nu|, together dim^2 = 16
+        # a reducible module: closure (a) fails mod p, then exactly, and the
+        # dim^2 saturation follows, one exact saturation per column class
+        # A E_nu, of length 4 |nu|, together dim^2 = 16
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))) == 13
-        assert saturation_lengths == [[1, 2, 1], [1, 2, 1], [2, 4, 2], [1, 2, 1]]
-        assert sum(map(sum, saturation_lengths[1:])) == 16
+        assert saturation_lengths == [
+            (echelon.ModP, [1, 2, 1]),
+            (GaussianInt, [1, 2, 1]),
+            *CLASSES_OF_FOUR,
+        ]
+        assert total_length(saturation_lengths[2:]) == 16
 
     @pytest.mark.parametrize("basis", [REPEATED_TOP_WEIGHT, NON_DIAGONAL_H0])
     def test_guard_failure_takes_exact_path(self, basis, saturation_lengths):
         module = rebased(direct_sum(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(3))), *basis, top_index=1)
         assert check_relations(module, 2) == []
         assert burnside_dim(integral_module(module)) == reference_burnside_dim(module) == 8
-        # no closure runs, only the column classes, together of length dim^2:
-        # a diagonal h0 has two weight spaces of dimension 2, so two classes
-        # of two weight blocks each; a non-diagonal h0 gives one block
+        # no closure runs over either field, only the exact column classes,
+        # together of length dim^2: a diagonal h0 has two weight spaces of
+        # dimension 2, so two classes of two weight blocks each; a
+        # non-diagonal h0 gives one block
         classes = [[16]] if basis is NON_DIAGONAL_H0 else [[4, 4], [4, 4]]
-        assert saturation_lengths == classes
-        assert sum(map(sum, saturation_lengths)) == 16
+        assert saturation_lengths == [(GaussianInt, sizes) for sizes in classes]
+        assert total_length(saturation_lengths) == 16
 
 
 class TestModularCertificate:
@@ -667,7 +690,9 @@ class TestModularCertificate:
     `burnside_dim`."""
 
     def test_prime_and_square_root_of_minus_one(self):
+        # `echelon.ModP` reduces through the same map as the reference
         p = ModP.P
+        assert (echelon.P, echelon.R) == (p, ModP.I_MOD_P)
         assert p % 4 == 1
         assert all(p % d for d in range(2, int(p**0.5) + 1))
         assert ModP.I_MOD_P**2 % p == p - 1
@@ -682,19 +707,31 @@ class TestModularCertificate:
 
     def test_rank_lost_mod_p_is_not_trusted(self):
         # a gap of 1 + p reduces to the reducible gap 1 mod p, but the exact
-        # algebra is full: only gaps of +-1 make a W1 pair reducible
+        # algebra is full: only gaps of +-1 make a W1 pair reducible.  The
+        # F_p pass of the oracles finds closure (a) deficient too, and the
+        # exact path decides
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1 + ModP.P)))
         assert _split(module, ModP).algebra_rank() == 13
+        assert _split(module, echelon.ModP).algebra_rank() == 13
+        assert not module._mod_p_split.top_full()
+        assert hw_closure(module)[0] == 4
         assert burnside_dim(module) == 16
+        assert (hw_closure(module), burnside_dim(module)) == exact_path(module)
 
     def test_denominator_divisible_by_p_takes_exact_path(self):
-        # no reduction mod p exists; burnside_dim works on the exact values
+        # no reduction of the entries mod p exists; burnside_dim works on
+        # the exact values.  The numerators reduce, but both parameters
+        # become one mod p, so the F_p pass finds closure (a) deficient,
+        # also where the exact closure is full
         eps = Fraction(1, ModP.P)
-        for gap, expected in ((3, 16), (1, 13)):
+        for gap, closure, expected in ((3, 4, 16), (1, 3, 13)):
             module = tensor(irrep_Wm(1, cr(eps)), irrep_Wm(1, cr(eps + gap)))
             with pytest.raises(NotReducible):
                 _split(module, ModP).algebra_rank()
+            assert not module._mod_p_split.top_full()
+            assert hw_closure(module)[0] == closure
             assert burnside_dim(module) == reference_burnside_dim(module) == expected
+            assert (hw_closure(module), burnside_dim(module)) == exact_path(module)
 
     @given(
         factors=st.lists(
@@ -837,6 +874,52 @@ class TestFractionFreeAgainstReference:
         # the generators would change the span, as in the example (closure 12)
         module = word_module([(1, base + k + cr(0, t)) for k, t in offsets])
         assert_closure_matches_reference(module, hw_closure(module))
+
+
+# Parts that p divides, over small denominators; with the zeros, offsets
+# between factors are often integers, p-multiples among them, so that words
+# are often reducible, or reducible mod p alone.
+p_multiples = st.builds(
+    Fraction, st.sampled_from([-2, -1, 1, 3]).map(lambda k: k * echelon.P), st.sampled_from([1, 2, 3])
+)
+offset_parts = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), big_denominator_fractions, p_multiples)
+
+
+def exact_path(module):
+    """(hw_closure, burnside_dim) of the module over the Gaussian integers
+    alone, as the oracles ran before the F_p pass."""
+    split = _split(module, GaussianInt)
+    n = module.dim
+    return (rank(split.top_closure), split.top_basis()), n * n if split.cocyclic() else split.algebra_rank()
+
+
+class TestModPFirst:
+    """The oracles run over F_p (`echelon.ModP`) first and exactly only
+    where a closure is not full mod p: their results are those of the exact
+    path alone and of the references, also where p divides a numerator or a
+    denominator."""
+
+    @given(
+        factors=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(-2, 2), offset_parts, offset_parts),
+            min_size=1,
+            max_size=4,
+        ),
+        base=gaussian_parameters,
+    )
+    @example(factors=[(1, 0, 0, 0), (1, 1, Fraction(echelon.P), 0)], base=cr(0))
+    @example(factors=[(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, Fraction(echelon.P, 2), 0)], base=cr(0, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_fast_path_equals_exact_path_and_references(self, factors, base):
+        # words up to dim 16; the algebra reference, slow on large
+        # denominators (up to 10 s at dim 16), runs up to dim 8
+        assume(prod(m + 1 for m, *_ in factors) <= 16)
+        module = word_module([(m, base + k + CRational(re, im)) for m, k, re, im in factors])
+        closure, algebra = hw_closure(module), burnside_dim(module)
+        assert (closure, algebra) == exact_path(module)
+        assert_closure_matches_reference(module, closure)
+        if module.dim <= 8:
+            assert algebra == reference_burnside_dim(module)
 
 
 class TestUnitBasisOfFullBlocks:
@@ -1087,6 +1170,7 @@ class TestOnePassCut:
         module = word_module(factors)
         self.assert_same_pieces(module, GaussianInt, gaussian_operator)
         self.assert_same_pieces(module, ModP, ModP.operator)
+        self.assert_same_pieces(module, echelon.ModP, numerators_mod_p)
 
     @given(data=st.data(), diagonal_h0=st.sampled_from([True, True, False]))
     @settings(max_examples=60, deadline=None)
@@ -1094,6 +1178,7 @@ class TestOnePassCut:
         module = integral_module(data.draw(hand_built_modules(diagonal_h0)))
         self.assert_same_pieces(module, GaussianInt, gaussian_operator)
         self.assert_same_pieces(module, ModP, ModP.operator)
+        self.assert_same_pieces(module, echelon.ModP, numerators_mod_p)
 
 
 class TestSharedLiftAndClosure:
@@ -1133,8 +1218,22 @@ class TestSharedLiftAndClosure:
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))
         assert hw_closure(module) == hw_closure(module)
         assert burnside_dim(module) == 16
-        # closure (a) once, shared, and closure (b) once
-        assert saturation_lengths == [[1, 2, 1], [1, 2, 1]]
+        # closure (a) once, shared, and closure (b) once, both mod p
+        assert saturation_lengths == [(echelon.ModP, [1, 2, 1])] * 2
+        saturation_lengths.clear()
+        # the cyclic but reducible local Weyl module of 0, 1: closure (a) is
+        # full mod p, so it is never made exactly; closure (b) fails mod p,
+        # then exactly, and the exact column classes follow
+        module = local_weyl([cr(0), cr(1)])
+        assert hw_closure(module) == hw_closure(module)
+        assert burnside_dim(module) == 13
+        assert saturation_lengths == [
+            (echelon.ModP, [1, 2, 1]),
+            (echelon.ModP, [1, 2, 1]),
+            (GaussianInt, [1, 2, 1]),
+            *CLASSES_OF_FOUR,
+        ]
+        assert "top_closure" not in module._weight_split.__dict__
 
     def test_equal_modules_stay_equal_after_closing(self):
         closed, fresh = (word_module([(1, cr(0)), (1, cr(1))]) for _ in range(2))
