@@ -7,6 +7,11 @@ x_{k+1}^± = ±(1/2)[hbar1, x_k^±] and h_k = [x_k^+, x0^-], so they span the
 same submodules and generate the same algebra as all modes.  The coproduct
 is explicit on this generating set, so tensor products are exact.
 
+The modules are those of tensor words, built by `irrep_Wm`, `tensor` and
+`word_module` and by nothing else: they satisfy the Yangian relations and
+their h0 is diagonal, so its weight spaces are read off its diagonal.
+Matrices built by hand, which need neither, go to `echelon.Split` directly.
+
 Each generator is a `SparseMatrix`: Gaussian-integer numerators over one
 positive int denominator.  Modules are built on those ints, with no
 Fraction or CRational arithmetic; the oracles read the numerators.
@@ -45,13 +50,12 @@ class SparseMatrix(Record):
 
     Row i is the tuple of its nonzero (column, re, im) entries in increasing
     column order, and entry (i, j) is (re + im i) / den.  The columns and
-    numerators are ints and den is a positive int.  The public constructor
-    `SparseMatrix(rows, den)` validates all of this and raises ValueError
-    otherwise; the builders of this module, which write that form row by
-    row, construct through `_canonical`, which does not.  Both divide the
-    numerators and den by their common factor, so the form is canonical and
-    == and hashing compare values.  The library does no matrix arithmetic;
-    the oracles read the numerators.
+    numerators are ints and den is a positive int.  Only the builders of
+    this module construct matrices; they write this form row by row, and
+    the constructor keeps it without checking it.  It divides the numerators
+    and den by their common factor, so the form is canonical and == and
+    hashing compare values.  The library does no matrix arithmetic; the
+    oracles read the numerators.
     """
 
     __slots__ = ("rows", "den")
@@ -59,38 +63,6 @@ class SparseMatrix(Record):
     def __init__(self, rows: tuple[Row, ...], den: int = 1):
         _set(self, "rows", rows)
         _set(self, "den", den)
-        self._check()
-
-    @classmethod
-    def _canonical(cls, rows: tuple[Row, ...], den: int = 1) -> "SparseMatrix":
-        """The matrix of rows over den, which the caller has written in the
-        form the class describes: no validation, only the content reduction."""
-        mat = cls.__new__(cls)
-        _set(mat, "rows", rows)
-        _set(mat, "den", den)
-        mat._reduce()
-        return mat
-
-    def _check(self):
-        rows, den = self.rows, self.den
-        if type(rows) is not tuple:
-            raise ValueError(f"rows must be a tuple of row tuples, got a {type(rows).__name__}")
-        if not rows:
-            raise ValueError("matrix must be square and nonempty")
-        if type(den) is not int or den < 1:
-            raise ValueError(f"denominator must be a positive int, got {den!r}")
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if type(row) is not tuple:
-                raise ValueError(f"row {i} must be a tuple of entries, got a {type(row).__name__}")
-            last = -1
-            for entry in row:
-                if type(entry) is not tuple or tuple(map(type, entry)) != (int, int, int):
-                    raise ValueError(f"row {i}: entry {entry!r} is not three ints")
-                j, re, im = entry
-                if not (last < j < n and (re or im)):
-                    raise ValueError(f"row {i}: column {j} is out of order, out of range or zero")
-                last = j
         self._reduce()
 
     def _reduce(self):
@@ -118,10 +90,10 @@ class Sl2Module(Record):
 
     top_index points at the designated highest-weight candidate in the basis;
     for irreducibles it is the genuine top vector, for tensor products it is
-    the product of the factors' tops.
-
-    The public constructor validates its fields (`_check`); `irrep_Wm` and
-    `tensor`, which write them by construction, go through `_unchecked`.
+    the product of the factors' tops.  The modules are those of tensor
+    words, which only `irrep_Wm` and `tensor` construct: they satisfy the
+    Yangian relations and their h0 is diagonal.  The constructor sets the
+    fields and checks none of them.
 
     The module is immutable, so its `Split` over `ModP` and its `Split`
     over `GaussianInt` (the generators' numerators cut between weight
@@ -137,33 +109,9 @@ class Sl2Module(Record):
     hbar1: SparseMatrix
     top_index: int
 
-    @classmethod
-    def _unchecked(cls, xp, xm, h0, hbar1, top_index: int) -> "Sl2Module":
-        """The module of these fields, which the builders of this module
-        write in the form the class describes: no validation."""
-        module = cls.__new__(cls)
-        _set(module, "xp", xp)
-        _set(module, "xm", xm)
-        _set(module, "h0", h0)
-        _set(module, "hbar1", hbar1)
-        _set(module, "top_index", top_index)
-        return module
-
     @property
     def dim(self) -> int:
         return self.xp.n
-
-    def _check(self):
-        for name in ("xp", "xm", "h0", "hbar1"):
-            if type(getattr(self, name)) is not SparseMatrix:
-                kind = type(getattr(self, name)).__name__
-                raise ValueError(f"generator {name} must be a SparseMatrix, got a {kind}")
-        n = self.xp.n
-        if not (self.xm.n == self.h0.n == self.hbar1.n == n):
-            raise ValueError("operator dimensions disagree")
-        require_int(self.top_index, "top index")
-        if not 0 <= self.top_index < n:
-            raise ValueError("top index out of range")
 
     @cached_property
     def _mod_p_split(self) -> Split:
@@ -177,7 +125,7 @@ class Sl2Module(Record):
 def _diagonal(values: Iterable[tuple[int, int]], den: int = 1) -> SparseMatrix:
     """The diagonal matrix of the (re, im) numerators over den."""
     rows = tuple(((s, re, im),) if re or im else () for s, (re, im) in enumerate(values))
-    return SparseMatrix._canonical(rows, den)
+    return SparseMatrix(rows, den)
 
 
 @lru_cache(maxsize=8)
@@ -186,8 +134,8 @@ def _ladder(m: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
     and shared, since matrices are immutable."""
     return (
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
-        SparseMatrix._canonical(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
-        SparseMatrix._canonical(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
+        SparseMatrix(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
+        SparseMatrix(tuple(((s + 1, m - s, 0),) for s in range(m)) + ((),)),
         _diagonal((w, 0) for w in range(-m, m + 1, 2)),  # h0
     )
 
@@ -212,7 +160,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     im = a.im.numerator * (den // a.im.denominator)
     half = den // 2
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
-    return Sl2Module._unchecked(
+    return Sl2Module(
         *_ladder(m),
         # hbar1: den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
         # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
@@ -281,7 +229,7 @@ def _coproduct(
                     # (p + q i)(r + s i) = (pr - qs) + (ps + qr) i
                     entries.append((j + j2, p * r - q * s, p * s + q * r))
             rows.append(_summed(entries))
-    return SparseMatrix._canonical(tuple(rows), den)
+    return SparseMatrix(tuple(rows), den)
 
 
 def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
@@ -293,7 +241,7 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
     numerators.  hbar1 takes one denominator for all three terms, since the
     hbar1 of a product adds the hbar1 of its factors.
     """
-    return Sl2Module._unchecked(
+    return Sl2Module(
         _coproduct(m1.xp, m2.xp),
         _coproduct(m1.xm, m2.xm),
         _coproduct(m1.h0, m2.h0),
@@ -304,18 +252,15 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
 
 def _split(module: Sl2Module, field) -> Split:
     """The generators split by the field between the weight spaces of h0,
-    blocks in order of first appearance, with the top index.
+    the diagonal that every module of this module's builders has: blocks in
+    order of first appearance, with the top index.
 
-    When h0 is diagonal each projection E_nu onto a weight space is a
-    polynomial in h0, so the algebra the generators span holds the E_nu and
-    is the one `Split` sees; h0 itself is left out, since it acts on each
-    block as a multiple of the identity.  When h0 is not diagonal there is
-    one block and all four generators."""
+    Each projection E_nu onto a weight space is a polynomial in h0, so the
+    algebra the generators span holds the E_nu and is the one `Split` sees;
+    h0 itself is left out, since it acts on each block as a multiple of the
+    identity."""
     top, groups = module.top_index, {}
     for i, row in enumerate(module.h0.rows):
-        if len(row) > 1 or (row and row[0][0] != i):
-            generators = (module.xp, module.xm, module.h0, module.hbar1)
-            return Split(field, generators, [list(range(module.dim))], top)
         groups.setdefault(row[0][1:] if row else (0, 0), []).append(i)
     return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()), top)
 
@@ -333,8 +278,8 @@ def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     each weight space the closure fills, and the echelon rows divided by
     their leads in the others.  The module is generated by its top vector iff
     the dimension equals the module dimension; the four generators suffice
-    because every higher mode is an iterated hbar1-bracket of them.  When h0
-    is diagonal the closure is h0-invariant, hence the sum of its
+    because every higher mode is an iterated hbar1-bracket of them.  h0 is
+    diagonal, so the closure is h0-invariant, hence the sum of its
     intersections with the weight spaces, and it is saturated weight space
     by weight space; every vector it makes is a weight vector.  Each closure
     is made once per module and shared with `burnside_dim`.
@@ -355,15 +300,14 @@ def burnside_dim(module: Sl2Module) -> int:
 
     An irreducible module is recognized first by `Split.cocyclic`, two
     closures of dimension dim instead of one of dimension dim^2.  Its guard,
-    that the top vector spans its block, holds iff h0 is diagonal and the top
-    weight occurs once on its diagonal (a non-diagonal h0 gives one block of
-    size dim > 1), and every rank-1 tensor word passes it.  Its closure (a)
-    is the one `hw_closure` makes.  The test runs over F_p first, whose full
-    closures are full exactly.  When it fails there, each closure that was
-    not full mod p is made again exactly, and a closure already full mod p
-    is not.  When the guard or an exact closure fails, the algebra is
-    saturated exactly, one column class A E_nu per h0-weight nu
-    (`Split.algebra_rank`), and its rank is returned.
+    that the top vector spans its block, holds iff the top weight occurs
+    once on the diagonal of h0, and every rank-1 tensor word passes it.  Its
+    closure (a) is the one `hw_closure` makes.  The test runs over F_p
+    first, whose full closures are full exactly.  When it fails there, each
+    closure that was not full mod p is made again exactly, and a closure
+    already full mod p is not.  When the guard or an exact closure fails,
+    the algebra is saturated exactly, one column class A E_nu per h0-weight
+    nu (`Split.algebra_rank`), and its rank is returned.
     """
     n = module.dim
     fast = module._mod_p_split

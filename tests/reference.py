@@ -8,7 +8,10 @@ oracle runs them, so they live beside the tests.
   list-of-lists reference.
 - The rank-1 modules built on `ExactMatrix`, as `sl2` built them before it
   built them on Gaussian-integer numerators, and the kron-based tensor
-  product; the converters between `ExactModule` and `sl2.Sl2Module`.
+  product; the converters between `ExactModule` and `sl2.Sl2Module`; the
+  checks of the form of `sl2.SparseMatrix` and `sl2.Sl2Module` that their
+  constructors do not make; the one-block split of a hand-built module
+  whose h0 is not diagonal.
 - The cut of a generator into the pieces between weight blocks in two
   passes, as `echelon.Split` made it before the fields cut in one.
 - The rank-1 Yangian: the mode ladder with its closed basis action, the
@@ -44,6 +47,8 @@ from weylcyc import (
     word_module,
 )
 from weylcyc.drinfeld import ZERO
+from weylcyc.echelon import Split
+from weylcyc.rootsys import require_int
 from weylcyc.sl2 import Sl2Module, SparseMatrix
 
 ONE = CRational(1)
@@ -290,7 +295,61 @@ def exact_module(module: Sl2Module) -> ExactModule:
 def integral_module(module: ExactModule) -> Sl2Module:
     """The module with every generator over the lcm of its entries'
     denominators, for the oracles."""
-    return Sl2Module(*(integral_matrix(getattr(module, g)) for g in GENERATORS), module.top_index)
+    return checked_module(*(integral_matrix(getattr(module, g)) for g in GENERATORS), module.top_index)
+
+
+def checked_matrix(rows, den: int = 1) -> SparseMatrix:
+    """`SparseMatrix(rows, den)` once rows and den are in the form the class
+    describes, else ValueError naming what is not: rows a nonempty tuple of
+    row tuples, each entry three ints (no bool) with its columns increasing
+    in range and its numerators not both zero, and den a positive int.  The
+    oracle of the form `sl2`'s builders write without checking it."""
+    if type(rows) is not tuple:
+        raise ValueError(f"rows must be a tuple of row tuples, got a {type(rows).__name__}")
+    if not rows:
+        raise ValueError("matrix must be square and nonempty")
+    if type(den) is not int or den < 1:
+        raise ValueError(f"denominator must be a positive int, got {den!r}")
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if type(row) is not tuple:
+            raise ValueError(f"row {i} must be a tuple of entries, got a {type(row).__name__}")
+        last = -1
+        for entry in row:
+            if type(entry) is not tuple or tuple(map(type, entry)) != (int, int, int):
+                raise ValueError(f"row {i}: entry {entry!r} is not three ints")
+            j, re, im = entry
+            if not (last < j < n and (re or im)):
+                raise ValueError(f"row {i}: column {j} is out of order, out of range or zero")
+            last = j
+    return SparseMatrix(rows, den)
+
+
+def checked_module(xp, xm, h0, hbar1, top_index) -> Sl2Module:
+    """`Sl2Module(xp, xm, h0, hbar1, top_index)` once the fields are four
+    `SparseMatrix`es in the form `checked_matrix` checks, of one dimension,
+    and an int top index in range, else ValueError naming what is not."""
+    generators = (xp, xm, h0, hbar1)
+    for name, mat in zip(GENERATORS, generators):
+        if type(mat) is not SparseMatrix:
+            raise ValueError(f"generator {name} must be a SparseMatrix, got a {type(mat).__name__}")
+        checked_matrix(mat.rows, mat.den)
+    if len({mat.n for mat in generators}) != 1:
+        raise ValueError("operator dimensions disagree")
+    require_int(top_index, "top index")
+    if not 0 <= top_index < xp.n:
+        raise ValueError("top index out of range")
+    return Sl2Module(*generators, top_index)
+
+
+def one_block_split(module: Sl2Module, field) -> Split:
+    """The four generators split by the field into one block, with the top
+    index: the split of a module whose h0 is not diagonal, as `sl2._split`
+    made it before it read the weight spaces off the diagonal h0 that every
+    tensor word has.  Hand-built modules with a non-diagonal h0 go through
+    it."""
+    generators = tuple(getattr(module, g) for g in GENERATORS)
+    return Split(field, generators, [list(range(module.dim))], module.top_index)
 
 
 def gaussian_operator(mat: SparseMatrix) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:

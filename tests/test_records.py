@@ -40,6 +40,8 @@ from weylcyc import (
 )
 from weylcyc.rootsys import _MIN_RANK, FAMILIES
 
+from reference import checked_matrix, checked_module
+
 fractions = st.fractions(max_denominator=12, min_value=-20, max_value=20)
 positive = fractions.filter(lambda q: q > 0)
 params = st.builds(CRational, fractions, fractions)
@@ -291,7 +293,7 @@ def test_module_cache_is_not_a_field(factors):
 
 def module_with_top(top):
     m = irrep_Wm(1, 0)
-    return Sl2Module(m.xp, m.xm, m.h0, m.hbar1, top)
+    return checked_module(m.xp, m.xm, m.h0, m.hbar1, top)
 
 
 @pytest.mark.parametrize(
@@ -354,14 +356,18 @@ ROW = (((0, 1, 0),),)
         pytest.param(
             lambda: FundamentalDimTable(A2, {2: True}, "user"), "'dims' entry for node 2", id="bool dim"
         ),
-        pytest.param(lambda: SparseMatrix(list(ROW), 1), "rows", id="rows list"),
-        pytest.param(lambda: SparseMatrix(([(0, 1, 0)],), 1), "row 0", id="row list"),
-        pytest.param(lambda: SparseMatrix((((0, 1),),), 1), "row 0: entry", id="entry of two"),
-        pytest.param(lambda: SparseMatrix((([0, 1, 0],),), 1), "row 0: entry", id="entry list"),
-        pytest.param(lambda: SparseMatrix((((0, 1, 0, 0),),), 1), "row 0: entry", id="entry of four"),
-        pytest.param(lambda: Sl2Module(1, 2, 3, 4, 0), "generator xp", id="int generators"),
+        # the form of the rank-1 matrices and modules, which their
+        # constructors leave to the builders, through the test oracle
+        pytest.param(lambda: checked_matrix(list(ROW), 1), "rows", id="rows list"),
+        pytest.param(lambda: checked_matrix(([(0, 1, 0)],), 1), "row 0", id="row list"),
+        pytest.param(lambda: checked_matrix((((0, 1),),), 1), "row 0: entry", id="entry of two"),
+        pytest.param(lambda: checked_matrix((([0, 1, 0],),), 1), "row 0: entry", id="entry list"),
+        pytest.param(lambda: checked_matrix((((0, 1, 0, 0),),), 1), "row 0: entry", id="entry of four"),
+        pytest.param(lambda: checked_module(1, 2, 3, 4, 0), "generator xp", id="int generators"),
         pytest.param(
-            lambda: Sl2Module(*[SparseMatrix(ROW)] * 3, ROW, 0), "generator hbar1", id="rows generator"
+            lambda: checked_module(*[checked_matrix(ROW)] * 3, ROW, 0),
+            "generator hbar1",
+            id="rows generator",
         ),
     ],
 )
@@ -411,12 +417,12 @@ def test_only_reports_imports_dataclasses():
     assert importers == {"reports"}
 
 
-def test_only_sl2_builders_skip_validation():
-    """`SparseMatrix._canonical` and `Sl2Module._unchecked` do not validate,
-    so only the builders of `sl2` call them: never a codec, `cli`, `selftest`
-    or `echelon`.  Matrices and modules from anywhere else, user input among
-    them, go through `SparseMatrix` and `Sl2Module`."""
-    unchecked = {"_canonical", "_unchecked"}
+def test_only_sl2_builders_construct_matrices_and_modules():
+    """`SparseMatrix` and `Sl2Module` check nothing, so only the builders of
+    `sl2` construct them: never a codec, `cli`, `selftest` or `echelon`, so
+    no module is built from outside data.  No module of the package calls
+    `__new__`, so none makes either past its constructor."""
+    constructors = {"SparseMatrix", "Sl2Module", "__new__"}
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
@@ -424,14 +430,14 @@ def test_only_sl2_builders_skip_validation():
             for scope in scopes:
                 name = getattr(scope, "name", "<module>")
                 for node in ast.walk(scope):
-                    if isinstance(node, ast.Attribute) and node.attr in unchecked:
-                        callers.add((path.stem, name, node.attr))
-                    elif isinstance(node, ast.Name) and node.id in unchecked:
-                        callers.add((path.stem, name, node.id))
+                    if isinstance(node, ast.Call):
+                        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if called in constructors:
+                            callers.add((path.stem, name, called))
     assert callers == {
-        ("sl2", "_diagonal", "_canonical"),
-        ("sl2", "_ladder", "_canonical"),
-        ("sl2", "_coproduct", "_canonical"),
-        ("sl2", "irrep_Wm", "_unchecked"),
-        ("sl2", "tensor", "_unchecked"),
+        ("sl2", "_diagonal", "SparseMatrix"),
+        ("sl2", "_ladder", "SparseMatrix"),
+        ("sl2", "_coproduct", "SparseMatrix"),
+        ("sl2", "irrep_Wm", "Sl2Module"),
+        ("sl2", "tensor", "Sl2Module"),
     }

@@ -21,6 +21,8 @@ from reference import (
     apply_shift,
     as_exact_module,
     check_relations,
+    checked_matrix,
+    checked_module,
     divide,
     entry,
     exact_irrep_Wm,
@@ -36,6 +38,7 @@ from reference import (
     local_weyl,
     matmul,
     neg,
+    one_block_split,
     reference_cut,
     reference_tensor,
     scale,
@@ -364,8 +367,9 @@ class TestSparseAgainstDense:
 
 
 class TestSparseMatrix:
-    """Validation and canonical form of the matrix type the modules store,
-    and the denominators the builders write."""
+    """The form of the matrix type the modules store, checked by the oracle
+    `checked_matrix`, its canonical form, and the denominators the builders
+    write."""
 
     def test_rejects_malformed_input(self):
         for rows in [
@@ -381,10 +385,10 @@ class TestSparseMatrix:
             (),  # empty
         ]:
             with pytest.raises(ValueError):
-                SparseMatrix(rows)
+                checked_matrix(rows)
         for den in (0, -3, True, Fraction(2), 2.0):
             with pytest.raises(ValueError):
-                SparseMatrix((((0, 1, 0),),), den)
+                checked_matrix((((0, 1, 0),),), den)
 
     def test_reduced_by_the_content(self):
         # the value is numerators / den, so 4/6 + 2/6 i is stored as 2/3 + 1/3 i
@@ -444,16 +448,16 @@ class TestSparseMatrix:
         assert entry(exact_matrix(module.hbar1), top, top) == cr(Fraction(-173, 210))
 
     def test_builders_reduce_the_content(self, monkeypatch):
-        # the builders skip validation, not the content reduction: the hbar1
+        # the constructor checks nothing but reduces the content: the hbar1
         # of W_1(0) x W_1(0) is handed over lcm(2, 2) with even numerators
         handed = []
-        canonical = SparseMatrix._canonical.__func__
+        init = SparseMatrix.__init__
 
-        def spy(cls, rows, den=1):
+        def spy(mat, rows, den=1):
             handed.append((rows, den))
-            return canonical(cls, rows, den)
+            init(mat, rows, den)
 
-        monkeypatch.setattr(SparseMatrix, "_canonical", classmethod(spy))
+        monkeypatch.setattr(SparseMatrix, "__init__", spy)
         hbar1 = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(0))).hbar1
         assert handed[-1] == (
             (((0, -2, 0),), ((1, -2, 0), (2, -4, 0)), ((2, -2, 0),), ((3, -2, 0),)),
@@ -675,11 +679,20 @@ class TestBurnside:
     def test_guard_failure_takes_exact_path(self, basis, saturation_lengths):
         module = rebased(direct_sum(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(3))), *basis, top_index=1)
         assert check_relations(module, 2) == []
-        assert burnside_dim(integral_module(module)) == reference_burnside_dim(module) == 8
+        integral = integral_module(module)
+        if basis is NON_DIAGONAL_H0:
+            # no tensor word has this h0, so its one block is split by hand:
+            # the guard fails over both fields without a closure
+            assert not one_block_split(integral, echelon.ModP).cocyclic()
+            split = one_block_split(integral, GaussianInt)
+            assert not split.cocyclic()
+            assert split.algebra_rank() == reference_burnside_dim(module) == 8
+        else:
+            assert burnside_dim(integral) == reference_burnside_dim(module) == 8
         # no closure runs over either field, only the exact column classes,
         # together of length dim^2: a diagonal h0 has two weight spaces of
-        # dimension 2, so two classes of two weight blocks each; a
-        # non-diagonal h0 gives one block
+        # dimension 2, so two classes of two weight blocks each; the
+        # non-diagonal h0 one block
         classes = [[16]] if basis is NON_DIAGONAL_H0 else [[4, 4], [4, 4]]
         assert saturation_lengths == [(GaussianInt, sizes) for sizes in classes]
         assert total_length(saturation_lengths) == 16
@@ -956,7 +969,8 @@ def hand_built_modules(draw, diagonal_h0):
     """`ExactModule`s of dim <= 5 with arbitrary sparse Gaussian-rational xp,
     xm and hbar1, so not weight vectors, and an h0 that is either diagonal
     with a repeated weight or not diagonal at all.  They satisfy no
-    relation; `integral_module` makes them `Sl2Module`s for the oracles."""
+    relation; `integral_module` makes them `Sl2Module`s for the oracles,
+    and those with a non-diagonal h0 are split by `one_block_split`."""
     n = draw(st.integers(2, 5) if diagonal_h0 else st.integers(2, 4))
     entries = st.one_of(st.just(ZERO), gaussian)
     matrices = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -985,16 +999,20 @@ class TestWeightBlocksOnHandBuiltModules:
         integral = integral_module(module)
         assert exact_module(integral) == module
         expected = reference_burnside_dim(module)
-        assert _split(integral, GaussianInt).algebra_rank() == expected
-        assert burnside_dim(integral) == expected
+        split = (_split if diagonal_h0 else one_block_split)(integral, GaussianInt)
+        assert split.algebra_rank() == expected
+        if diagonal_h0:
+            assert burnside_dim(integral) == expected
+            closure = hw_closure(integral)
+        else:
+            closure = rank(split.top_closure), split.top_basis()
         # the graded closure stores weight vectors and the reference the raw
         # images, so the echelon rows differ; the ranks and spans agree
-        rank, basis = hw_closure(integral)
+        closure_rank, basis = closure
         ref_rank, ref_basis = reference_hw_closure(module)
-        assert rank == ref_rank and in_span(ref_basis, basis)
-        blocks = _split(integral, GaussianInt).blocks
+        assert closure_rank == ref_rank and in_span(ref_basis, basis)
         weights = [entry(module.h0, i, i) for i in range(module.dim)]
-        assert len(blocks) == (len(set(weights)) if diagonal_h0 else 1)
+        assert len(split.blocks) == (len(set(weights)) if diagonal_h0 else 1)
 
 
 class TestGenericSplit:
@@ -1108,25 +1126,48 @@ class TestOnePassBuild:
         assert integral_module(exact_form) == module
         assert exact_module(integral_module(exact_form)) == exact_form
 
-    @given(factors=words)
-    @settings(max_examples=40, deadline=None)
-    def test_builders_write_the_validated_form(self, factors):
-        # the validating constructors are the oracles of the builders'
-        # unchecked ones: every matrix irrep_Wm, tensor and word_module build
-        # is what SparseMatrix makes of its rows and denominator, and every
-        # module what Sl2Module makes of its fields
+    @staticmethod
+    def built(factors):
+        """Every module the builders make of the word: each factor, then each
+        partial product up to `word_module(factors)`."""
         irreps = [irrep_Wm(m, a) for m, a in factors]
         products = irreps[:1]
         for module in irreps[1:]:
             products.append(tensor(products[-1], module))
         assert word_module(factors) == products[-1]
-        for module in irreps + products[1:]:
+        return irreps + products[1:]
+
+    @given(factors=words)
+    @settings(max_examples=40, deadline=None)
+    def test_builders_write_the_validated_form(self, factors):
+        # the checks of `reference` are the oracles of the constructors,
+        # which check nothing: every matrix irrep_Wm, tensor and word_module
+        # build is what checked_matrix makes of its rows and denominator, and
+        # every module what checked_module makes of its fields
+        for module in self.built(factors):
             for name in ("xp", "xm", "h0", "hbar1"):
                 built = getattr(module, name)
-                checked = SparseMatrix(built.rows, built.den)
+                checked = checked_matrix(built.rows, built.den)
                 assert (checked.rows, checked.den) == (built.rows, built.den)
             fields = [getattr(module, name) for name in ("xp", "xm", "h0", "hbar1", "top_index")]
-            assert type(module) is Sl2Module and module == Sl2Module(*fields)
+            assert type(module) is Sl2Module and module == checked_module(*fields)
+
+    @given(factors=words)
+    @example(factors=[(1, cr(Fraction(1, 3), 2)), (2, cr(0, Fraction(-1, 3))), (1, cr(Fraction(2, 3), 1))])
+    @settings(max_examples=40, deadline=None)
+    def test_builders_write_a_diagonal_h0(self, factors):
+        # `_split` reads the weight spaces off the diagonal of h0, so each
+        # row of every h0 the builders write is empty or holds its own
+        # diagonal entry alone, and each weight is one block
+        for module in self.built(factors):
+            rows = module.h0.rows
+            assert all(row == () or (len(row) == 1 and row[0][0] == i) for i, row in enumerate(rows))
+            diagonal = [row[0][1:] if row else (0, 0) for row in rows]
+            for field in (GaussianInt, echelon.ModP):
+                blocks = _split(module, field).blocks
+                assert sorted(i for block in blocks for i in block) == list(range(module.dim))
+                assert len(blocks) == len(set(diagonal))
+                assert all(len({diagonal[i] for i in block}) == 1 for block in blocks)
 
     @staticmethod
     def oracles(module):
@@ -1154,8 +1195,8 @@ class TestOnePassCut:
     target block) at most once per generator."""
 
     @staticmethod
-    def assert_same_pieces(module, field, operator):
-        where = _split(module, field).where
+    def assert_same_pieces(module, field, operator, split=_split):
+        where = split(module, field).where
         for name in ("xp", "xm", "h0", "hbar1"):
             mat = getattr(module, name)
             pieces = field.cut(mat, where)
@@ -1176,9 +1217,10 @@ class TestOnePassCut:
     @settings(max_examples=60, deadline=None)
     def test_hand_built_modules(self, data, diagonal_h0):
         module = integral_module(data.draw(hand_built_modules(diagonal_h0)))
-        self.assert_same_pieces(module, GaussianInt, gaussian_operator)
-        self.assert_same_pieces(module, ModP, ModP.operator)
-        self.assert_same_pieces(module, echelon.ModP, numerators_mod_p)
+        split = _split if diagonal_h0 else one_block_split
+        self.assert_same_pieces(module, GaussianInt, gaussian_operator, split)
+        self.assert_same_pieces(module, ModP, ModP.operator, split)
+        self.assert_same_pieces(module, echelon.ModP, numerators_mod_p, split)
 
 
 class TestSharedLiftAndClosure:
