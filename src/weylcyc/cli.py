@@ -34,9 +34,9 @@ from .rootsys import LieType, cartan_data
 # so reducible words set its cap: the slowest 5-factor word took 2.4 s, a
 # 6-factor word with one pair of complex roots 1 apart 440 s.  Parameter size
 # has no bound.  It no longer sets the cost of `factorize`, whose closure is
-# full and decided mod p (9 complex roots with 6-digit parts: 0.3 s), but 5
-# reducible factors with 6-digit complex parts took 13 s in `sl2-oracle`,
-# which saturates them exactly (README, Notes).
+# full and decided mod p (9 complex roots with 6-digit parts: 0.2-0.35 s),
+# but 5 reducible factors with 6-digit complex parts took 11-13 s in
+# `sl2-oracle`, which saturates them exactly (README, Notes).
 MAX_FACTORIZE_ROOTS = 9
 MAX_ORACLE_FACTORS = 5
 # `check` tests S-set membership in closed form and `dims` sizes a result too

@@ -132,6 +132,13 @@ def _require_tuple_of(values, cls, what: str) -> None:
             raise ValueError(f"{what} must be a tuple of {cls.__name__}, got {x!r} in it")
 
 
+def _require_poly_count(lie_type: LieType, count: int) -> None:
+    """Raise ValueError unless a Drinfeld tuple of lie_type with count
+    polynomials has one per node."""
+    if count != lie_type.rank:
+        raise ValueError(f"'polys' of {lie_type} needs {lie_type.rank} polynomials, got {count}")
+
+
 class MonicPoly(Record):
     """prod (u - a) over a root multiset; only the roots are ever stored."""
 
@@ -160,10 +167,7 @@ class DrinfeldTuple(Record):
 
     def _check(self):
         _require_tuple_of(self.polys, MonicPoly, "polys")
-        if len(self.polys) != self.type.rank:
-            raise ValueError(
-                f"'polys' of {self.type} needs {self.type.rank} polynomials, got {len(self.polys)}"
-            )
+        _require_poly_count(self.type, len(self.polys))
 
 
 class FundamentalFactor(Record):
@@ -268,6 +272,7 @@ def tuple_from_dict(data: dict) -> DrinfeldTuple:
     lt = type_from_json(lie_type)
     if not isinstance(polys, list):
         raise ValueError("'polys' must be a list of root lists")
+    _require_poly_count(lt, len(polys))  # before any root is parsed
     out = []
     for roots in polys:
         if not isinstance(roots, list):

@@ -17,6 +17,14 @@ p divides a numerator or a denominator; a full rank mod p is therefore the
 exact rank.  A deficient rank mod p proves nothing, and the caller runs the
 exact field.
 
+A `ModP` split may keep only some blocks, and `ModP.cut` drops every entry
+outside them.  The rank-1 oracles keep the weights >= 0 of h0: a vector the
+cut generators make is then a word in the generators applied to the top,
+in a kept weight space, so a rank mod p stays at most the exact rank of the
+closure there.  The closure is an sl_2-module, and its weight spaces mu and
+-mu have the same dimension, as those of the space do; so a closure full on
+every kept block is the whole space (the argument is stated in `sl2`).
+
 `saturate` closes the span of seeds under ops on a graded space: a direct
 sum of blocks, with vectors as (block, local vector) pairs, ops that each
 map one block into one block, and one echelon form per block.  `Split` cuts
@@ -76,14 +84,19 @@ class ModP:
     def cut(mat, where) -> list[tuple[int, int, tuple[list]]]:
         """The numerators of mat reduced mod p, re + im i -> re + im R, cut
         into pieces between blocks as `GaussianInt.cut` cuts them; an op is
-        a one-part tuple of its nonzero (row, column, value) entries."""
+        a one-part tuple of its nonzero (row, column, value) entries.  An
+        entry whose row or column is in no block is dropped in the same
+        pass, so the blocks may cover only part of the basis."""
         pieces: dict[tuple[int, int], tuple[list]] = {}
         for i, row in enumerate(mat.rows):
-            target, li = where[i]
+            at = where.get(i)
+            if at is None:
+                continue
+            target, li = at
             for j, re, im in row:
                 x = (re + im * R) % P
-                if x:
-                    source, lj = where[j]
+                if x and (column := where.get(j)) is not None:
+                    source, lj = column
                     piece = pieces.get((source, target))
                     if piece is None:
                         piece = pieces[source, target] = ([],)
@@ -295,6 +308,13 @@ def rank(echelons) -> int:
     return sum(echelon.rank for echelon in echelons)
 
 
+def _unit_vector(length: int, i: int) -> list[CRational]:
+    """Unit vector i of the given length, of Gaussian rationals."""
+    v = [ZERO] * length
+    v[i] = ONE
+    return v
+
+
 class Split:
     """Square matrices read by a field and cut into their pieces between
     blocks of basis indices, with a distinguished basis index top: the
@@ -302,17 +322,25 @@ class Split:
 
     The piece of g from block nu to block mu' is E_mu' g E_nu, where E_nu
     keeps the coordinates of block nu.  blocks[b] lists the basis indices of
-    block b in increasing order, and where[i] is the (block, local index) of
-    basis index i.  pieces lists, matrix by matrix, the (source block, target
-    block, op) of each nonzero piece, with op in local indices.  Every
-    closure and the algebra rank run under the pieces, so they see the
-    unital algebra A generated by the matrices and the projections E_nu.
+    block b in increasing order, and where maps each basis index i of a
+    block to its (block, local index).  pieces lists, matrix by matrix, the
+    (source block, target block, op) of each nonzero piece, with op in local
+    indices.  Every closure and the algebra rank run under the pieces, so
+    they see the unital algebra A generated by the matrices and the
+    projections E_nu.
+
+    The blocks cover the whole basis, or, over `ModP` alone, part of it:
+    then the split is that of the kept space, the sum of the blocks, under
+    the matrices cut down to it, and top is in a block.  Only `sl2` builds
+    such a split, on the weights >= 0 of a module whose generators map each
+    weight space into one weight space, so that a vector of the kept space
+    is sent either into it or out of it whole.
     """
 
     def __init__(self, field, mats, blocks: list[list[int]], top: int):
         self.field, self.blocks, self.top = field, blocks, top
         self.sizes = [len(block) for block in blocks]
-        self.where = where = [(0, 0)] * sum(self.sizes)
+        self.where = where = {}
         for b, block in enumerate(blocks):
             for local, i in enumerate(block):
                 where[i] = (b, local)
@@ -336,7 +364,8 @@ class Split:
 
     def top_basis(self) -> list[list[CRational]]:
         """An echelon basis of top_closure with lead entries 1, as dense
-        vectors of the whole space in increasing pivot order.
+        vectors of the whole space in increasing pivot order, on a split
+        whose blocks cover the whole basis.
 
         A block whose echelon form has full rank spans the whole block, so
         its rows are the block's unit vectors, the reduced echelon form, and
@@ -350,10 +379,7 @@ class Split:
             if echelon.rank < len(columns):
                 rows += echelon.normalized_rows(columns, length)
             else:
-                for i in columns:
-                    v = [ZERO] * length
-                    v[i] = ONE
-                    rows.append((i, v))
+                rows += [(i, _unit_vector(length, i)) for i in columns]
         rows.sort(key=lambda row: row[0])
         return [v for _, v in rows]
 
@@ -363,13 +389,14 @@ class Split:
         return self.sizes[self.where[self.top][0]] == 1
 
     def top_full(self) -> bool:
-        """Closure (a) of `cocyclic`: top_closure is the whole space."""
+        """Closure (a) of `cocyclic`: top_closure fills every block, so it is
+        the whole kept space."""
         return rank(self.top_closure) == len(self.where)
 
     def dual_full(self) -> bool:
         """Closure (b) of `cocyclic`, made on each call: the closure of the
-        top coordinate functional under the transposed pieces is the whole
-        dual space."""
+        top coordinate functional under the transposed pieces fills every
+        block, so it is the whole dual of the kept space."""
         transposed = [
             (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
             for source, target, op in self.pieces

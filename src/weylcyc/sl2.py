@@ -28,6 +28,18 @@ not full mod p.  A rank mod p is at most the exact rank, so a closure full
 mod p is full exactly: the F_p pass certifies a full closure, and a
 deficient one mod p is decided again exactly.  Every result is the exact
 one.
+
+The F_p split keeps only the weight spaces of weight >= 0.  Each generator
+maps a weight space into one weight space, so every vector the cut sweep
+makes is a word in the generators applied to the top vector, and lies in
+the exact closure N, reduced mod p; its rank mod p in weight mu is at most
+dim N_mu.  N is invariant under x0+, x0- and h0, so it is a
+finite-dimensional sl_2-module and dim N_mu = dim N_-mu, as for the module
+V itself.  So a closure full mod p on every weight >= 0 is N = V.  Closure
+(b) is closure (a) of the dual module, X -> -X^T, whose Cartan element
+-h0 has the same weights, so the same blocks certify it.  This holds for
+modules that satisfy the sl_2 relations, which every built module does; a
+split over part of the basis is made here and nowhere else.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .drinfeld import CRational
-from .echelon import GaussianInt, ModP, Split, rank
+from .echelon import GaussianInt, ModP, Split, _unit_vector, rank
 from .rootsys import Record, _set, require_int
 
 
@@ -253,45 +265,55 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
 def _split(module: Sl2Module, field) -> Split:
     """The generators split by the field between the weight spaces of h0,
     the diagonal that every module of this module's builders has: blocks in
-    order of first appearance, with the top index.
+    order of first appearance, with the top index.  The `ModP` split keeps
+    the weight spaces of weight >= 0 alone, which certify a full closure
+    (see the module docstring); the `GaussianInt` split keeps them all.
 
     Each projection E_nu onto a weight space is a polynomial in h0, so the
     algebra the generators span holds the E_nu and is the one `Split` sees;
     h0 itself is left out, since it acts on each block as a multiple of the
     identity."""
-    top, groups = module.top_index, {}
+    groups = {}
     for i, row in enumerate(module.h0.rows):
         groups.setdefault(row[0][1:] if row else (0, 0), []).append(i)
-    return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()), top)
+    if field is ModP:
+        groups = {weight: block for weight, block in groups.items() if weight[0] >= 0}
+    return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()), module.top_index)
 
 
 def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """Smallest subspace containing the top vector and invariant under the
-    four generators, by iterated application and row reduction to a
-    fixpoint (`Split.top_closure`): over F_p first, and by fraction-free
-    elimination over the Gaussian integers only when the closure mod p is
-    not the whole module.  A full closure mod p is full exactly (see the
-    module docstring), and every result is the exact one.
+    generators, by iterated application of x0+, x0- and hbar1 and row
+    reduction to a fixpoint (`Split.top_closure`).  The closure runs over
+    F_p first, on the weight spaces of weight >= 0 alone; a closure that
+    fills each of them mod p is the whole module (see the module
+    docstring).  Otherwise it runs again by fraction-free elimination over
+    the Gaussian integers on every weight space.  Every result is the exact
+    one.
 
     Returns the dimension and an echelon basis, each vector with lead entry
-    1, in increasing pivot order (`Split.top_basis`): the unit vectors of
-    each weight space the closure fills, and the echelon rows divided by
-    their leads in the others.  The module is generated by its top vector iff
-    the dimension equals the module dimension; the four generators suffice
-    because every higher mode is an iterated hbar1-bracket of them.  h0 is
-    diagonal, so the closure is h0-invariant, hence the sum of its
-    intersections with the weight spaces, and it is saturated weight space
-    by weight space; every vector it makes is a weight vector.  Each closure
-    is made once per module and shared with `burnside_dim`.
+    1, in increasing pivot order: the unit basis of the whole module when
+    the closure is full mod p, and otherwise `Split.top_basis` of the exact
+    closure, the unit vectors of each weight space it fills and the echelon
+    rows divided by their leads in the others.  The module is generated by
+    its top vector iff the dimension equals the module dimension; the
+    generators suffice because every higher mode is an iterated
+    hbar1-bracket of them, and h0 is left out because it acts on each weight
+    space as a scalar.  h0 is diagonal, so the closure is h0-invariant,
+    hence the sum of its intersections with the weight spaces, and it is
+    saturated weight space by weight space; every vector it makes is a
+    weight vector.  Each closure is made once per module and shared with
+    `burnside_dim`.
     """
-    split = module._mod_p_split
-    if not split.top_full():
-        split = module._weight_split
+    n = module.dim
+    if module._mod_p_split.top_full():
+        return n, [_unit_vector(n, i) for i in range(n)]
+    split = module._weight_split
     return rank(split.top_closure), split.top_basis()
 
 
 def burnside_dim(module: Sl2Module) -> int:
-    """Dimension of the unital matrix algebra generated by the four operators.
+    """Dimension of the unital matrix algebra generated by the generators.
 
     The module is irreducible over the complex field iff the result is dim^2:
     the rank of an exact-entry span does not change under field extension,
@@ -302,12 +324,15 @@ def burnside_dim(module: Sl2Module) -> int:
     closures of dimension dim instead of one of dimension dim^2.  Its guard,
     that the top vector spans its block, holds iff the top weight occurs
     once on the diagonal of h0, and every rank-1 tensor word passes it.  Its
-    closure (a) is the one `hw_closure` makes.  The test runs over F_p
-    first, whose full closures are full exactly.  When it fails there, each
-    closure that was not full mod p is made again exactly, and a closure
-    already full mod p is not.  When the guard or an exact closure fails,
-    the algebra is saturated exactly, one column class A E_nu per h0-weight
-    nu (`Split.algebra_rank`), and its rank is returned.
+    closure (a) is the one `hw_closure` makes; both closures are cut from
+    x0+, x0- and hbar1.  The test runs over F_p first, on the weight spaces
+    of weight >= 0 alone, where closures (a) and (b) that fill each of them
+    are full exactly (see the module docstring).  When it fails there, each
+    closure that was not full mod p is made again exactly on every weight
+    space, and a closure already full mod p is not.  When the guard or an
+    exact closure fails, the algebra is saturated exactly, one column class
+    A E_nu per h0-weight nu (`Split.algebra_rank`), and its rank is
+    returned.
     """
     n = module.dim
     fast = module._mod_p_split

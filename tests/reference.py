@@ -11,7 +11,8 @@ oracle runs them, so they live beside the tests.
   product; the converters between `ExactModule` and `sl2.Sl2Module`; the
   checks of the form of `sl2.SparseMatrix` and `sl2.Sl2Module` that their
   constructors do not make; the one-block split of a hand-built module
-  whose h0 is not diagonal.
+  whose h0 is not diagonal, and the split over every weight space that
+  `sl2._split` made over F_p before it kept the weights >= 0 alone.
 - The cut of a generator into the pieces between weight blocks in two
   passes, as `echelon.Split` made it before the fields cut in one.
 - The rank-1 Yangian: the mode ladder with its closed basis action, the
@@ -352,6 +353,17 @@ def one_block_split(module: Sl2Module, field) -> Split:
     return Split(field, generators, [list(range(module.dim))], module.top_index)
 
 
+def full_split(module: Sl2Module, field) -> Split:
+    """x0+, x0- and hbar1 split by the field between every weight space of
+    h0, with the top index: `sl2._split` as it split over `ModP` before it
+    kept the weight spaces of weight >= 0 alone, and as it still splits over
+    `GaussianInt`.  The full-sweep oracle of the F_p certificate."""
+    groups = {}
+    for i, row in enumerate(module.h0.rows):
+        groups.setdefault(row[0][1:] if row else (0, 0), []).append(i)
+    return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()), module.top_index)
+
+
 def gaussian_operator(mat: SparseMatrix) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """The numerators of mat as the nonzero (row, column, value) entries of
     its real and of its imaginary part, as `echelon.GaussianInt` read a
@@ -371,11 +383,14 @@ def reference_cut(operator, mat: SparseMatrix, where) -> list[tuple[int, int, tu
     cut them in two passes: the field's operator(mat), a tuple of parts of
     (row, column, value) entries, then each part regrouped by the blocks of
     its rows and columns, where where[i] is the (block, local index) of basis
-    index i.  The oracle of the fields' one-pass `cut`."""
+    index i.  An entry whose row or column is in no block, not in where, is
+    dropped.  The oracle of the fields' one-pass `cut`."""
     op = operator(mat)
     cut: dict[tuple[int, int], tuple] = {}
     for p, part in enumerate(op):
         for i, j, x in part:
+            if i not in where or j not in where:
+                continue
             target, li = where[i]
             source, lj = where[j]
             piece = cut.get((source, target))

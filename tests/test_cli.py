@@ -246,8 +246,8 @@ def test_unknown_json_key_exit_one(capsys, argv, named):
     ],
 )
 def test_tuple_polys_count_is_one_rule(capsys, polys, message):
-    # the decoder checks only that 'polys' is a list; DrinfeldTuple checks
-    # its length, with one message for library and command-line callers
+    # the decoder checks that 'polys' is a list, then its length by the rule
+    # of DrinfeldTuple, with one message for library and command-line callers
     code, out, err = run(capsys, "factorize", "--tuple", f'{{"type":"A2","polys":{polys}}}')
     assert code == 1 and out == "" and message in err
 

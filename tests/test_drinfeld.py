@@ -15,6 +15,7 @@ from weylcyc import (
     MonicPoly,
     TensorWord,
 )
+from weylcyc import drinfeld
 from weylcyc.drinfeld import (
     tuple_from_dict,
     tuple_to_dict,
@@ -246,6 +247,23 @@ class TestJson:
         for bad in [{}, {"type": "A2", "polys": [["1"]]}, {"type": "A1", "polys": "x"}]:
             with pytest.raises(ValueError):
                 tuple_from_dict(bad)
+
+    def test_tuple_polys_count_is_checked_before_any_root(self, monkeypatch):
+        # a wrong number of root lists is rejected by the rule of
+        # DrinfeldTuple before a single root is parsed, however many lists
+        calls = []
+
+        def spy(value, field):
+            calls.append(value)
+            return CRational.parse(value)
+
+        monkeypatch.setattr(drinfeld, "_parse_param", spy)
+        for count in (1, 3, 200_000):
+            with pytest.raises(ValueError, match=f"'polys' of A2 needs 2 polynomials, got {count}"):
+                tuple_from_dict({"type": "A2", "polys": [["1", "2"]] * count})
+        assert calls == []
+        tuple_from_dict({"type": "A2", "polys": [["1", "2"], []]})
+        assert calls == ["1", "2"]
 
 
 # Wire-format properties.  The table codec has no encoder in the library, so

@@ -417,12 +417,9 @@ def test_only_reports_imports_dataclasses():
     assert importers == {"reports"}
 
 
-def test_only_sl2_builders_construct_matrices_and_modules():
-    """`SparseMatrix` and `Sl2Module` check nothing, so only the builders of
-    `sl2` construct them: never a codec, `cli`, `selftest` or `echelon`, so
-    no module is built from outside data.  No module of the package calls
-    `__new__`, so none makes either past its constructor."""
-    constructors = {"SparseMatrix", "Sl2Module", "__new__"}
+def package_calls(names: set[str]) -> set[tuple[str, str, str]]:
+    """(module, function or method, callee) of every call in the package to
+    a name in names, by a plain name or an attribute."""
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
@@ -432,8 +429,17 @@ def test_only_sl2_builders_construct_matrices_and_modules():
                 for node in ast.walk(scope):
                     if isinstance(node, ast.Call):
                         called = getattr(node.func, "id", getattr(node.func, "attr", None))
-                        if called in constructors:
+                        if called in names:
                             callers.add((path.stem, name, called))
+    return callers
+
+
+def test_only_sl2_builders_construct_matrices_and_modules():
+    """`SparseMatrix` and `Sl2Module` check nothing, so only the builders of
+    `sl2` construct them: never a codec, `cli`, `selftest` or `echelon`, so
+    no module is built from outside data.  No module of the package calls
+    `__new__`, so none makes either past its constructor."""
+    callers = package_calls({"SparseMatrix", "Sl2Module", "__new__"})
     assert callers == {
         ("sl2", "_diagonal", "SparseMatrix"),
         ("sl2", "_ladder", "SparseMatrix"),
@@ -441,3 +447,11 @@ def test_only_sl2_builders_construct_matrices_and_modules():
         ("sl2", "irrep_Wm", "Sl2Module"),
         ("sl2", "tensor", "Sl2Module"),
     }
+
+
+def test_only_sl2_splits_part_of_the_basis():
+    """A `Split` over the weights >= 0 alone certifies a full closure only
+    for a module that satisfies the sl_2 relations, which the modules of
+    `sl2`'s builders do.  So the package builds a `Split` in `sl2._split`
+    alone, and the only split over part of the basis is its `ModP` split."""
+    assert package_calls({"Split"}) == {("sl2", "_split", "Split")}

@@ -30,6 +30,7 @@ from reference import (
     exact_module,
     exact_word_module,
     from_rows,
+    full_split,
     gaussian_operator,
     identity,
     integral_matrix,
@@ -204,7 +205,8 @@ def reference_burnside_dim(module):
 # (r^2 = -1 mod p) is a ring map onto F_p, so it maps each word in the
 # generators to the same word in the reduced generators, and a set of words
 # independent mod p is independent over Q(i): the rank mod p is at most the
-# exact rank.  `_split(module, ModP).algebra_rank()` runs the saturation over F_p.
+# exact rank.  `full_split(module, ModP).algebra_rank()` runs the saturation
+# over F_p.
 
 
 class NotReducible(ArithmeticError):
@@ -634,7 +636,7 @@ class TestBurnside:
         # the top vector generates only 3 dimensions, so the value comes from
         # the exact path; the rank mod p is a lower bound
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))
-        assert _split(module, ModP).algebra_rank() <= 13
+        assert full_split(module, ModP).algebra_rank() <= 13
         assert burnside_dim(module) == 13
 
     def test_cyclic_but_reducible_pair(self):
@@ -655,21 +657,21 @@ class TestBurnside:
     def test_rank_deficient_falls_back_to_exact(self, factors, expected):
         # proper values computed once by the exact saturation oracle, frozen since
         module = word_module([(m, cr(a)) for m, a in factors])
-        assert _split(module, ModP).algebra_rank() <= expected
+        assert full_split(module, ModP).algebra_rank() <= expected
         assert burnside_dim(module) == expected
 
     def test_full_module_runs_no_algebra_saturation(self, saturation_lengths):
-        # two closures of length dim = 4, on the weight spaces -2, 0, 2, both
-        # mod p: nothing runs exactly
+        # two closures mod p on the weight spaces 0 and 2 alone, of length 3:
+        # nothing runs exactly
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))) == 16
-        assert saturation_lengths == [(echelon.ModP, [1, 2, 1])] * 2
+        assert saturation_lengths == [(echelon.ModP, [2, 1])] * 2
         saturation_lengths.clear()
         # a reducible module: closure (a) fails mod p, then exactly, and the
         # dim^2 saturation follows, one exact saturation per column class
         # A E_nu, of length 4 |nu|, together dim^2 = 16
         assert burnside_dim(tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))) == 13
         assert saturation_lengths == [
-            (echelon.ModP, [1, 2, 1]),
+            (echelon.ModP, [2, 1]),
             (GaussianInt, [1, 2, 1]),
             *CLASSES_OF_FOUR,
         ]
@@ -724,8 +726,8 @@ class TestModularCertificate:
         # F_p pass of the oracles finds closure (a) deficient too, and the
         # exact path decides
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1 + ModP.P)))
-        assert _split(module, ModP).algebra_rank() == 13
-        assert _split(module, echelon.ModP).algebra_rank() == 13
+        assert full_split(module, ModP).algebra_rank() == 13
+        assert full_split(module, echelon.ModP).algebra_rank() == 13
         assert not module._mod_p_split.top_full()
         assert hw_closure(module)[0] == 4
         assert burnside_dim(module) == 16
@@ -740,7 +742,7 @@ class TestModularCertificate:
         for gap, closure, expected in ((3, 4, 16), (1, 3, 13)):
             module = tensor(irrep_Wm(1, cr(eps)), irrep_Wm(1, cr(eps + gap)))
             with pytest.raises(NotReducible):
-                _split(module, ModP).algebra_rank()
+                full_split(module, ModP).algebra_rank()
             assert not module._mod_p_split.top_full()
             assert hw_closure(module)[0] == closure
             assert burnside_dim(module) == reference_burnside_dim(module) == expected
@@ -775,7 +777,7 @@ class TestModularCertificate:
             [(m, cr(a, im + (twist if i == 0 else 0))) for i, (m, a) in enumerate(factors)]
         )
         full = module.dim**2
-        lower = _split(module, ModP).algebra_rank()
+        lower = full_split(module, ModP).algebra_rank()
         exact = full if lower == full else reference_burnside_dim(module)
         assert lower <= exact
         assert burnside_dim(module) == exact
@@ -906,20 +908,21 @@ def exact_path(module):
     return (rank(split.top_closure), split.top_basis()), n * n if split.cocyclic() else split.algebra_rank()
 
 
+# (m, k, re, im) of the factors of a word with parameters base + k + re + im i
+mod_p_factors = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(-2, 2), offset_parts, offset_parts),
+    min_size=1,
+    max_size=4,
+)
+
+
 class TestModPFirst:
     """The oracles run over F_p (`echelon.ModP`) first and exactly only
     where a closure is not full mod p: their results are those of the exact
     path alone and of the references, also where p divides a numerator or a
     denominator."""
 
-    @given(
-        factors=st.lists(
-            st.tuples(st.integers(1, 3), st.integers(-2, 2), offset_parts, offset_parts),
-            min_size=1,
-            max_size=4,
-        ),
-        base=gaussian_parameters,
-    )
+    @given(factors=mod_p_factors, base=gaussian_parameters)
     @example(factors=[(1, 0, 0, 0), (1, 1, Fraction(echelon.P), 0)], base=cr(0))
     @example(factors=[(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, Fraction(echelon.P, 2), 0)], base=cr(0, 1))
     @settings(max_examples=80, deadline=None)
@@ -1001,14 +1004,13 @@ class TestWeightBlocksOnHandBuiltModules:
         expected = reference_burnside_dim(module)
         split = (_split if diagonal_h0 else one_block_split)(integral, GaussianInt)
         assert split.algebra_rank() == expected
-        if diagonal_h0:
-            assert burnside_dim(integral) == expected
-            closure = hw_closure(integral)
-        else:
-            closure = rank(split.top_closure), split.top_basis()
-        # the graded closure stores weight vectors and the reference the raw
-        # images, so the echelon rows differ; the ranks and spans agree
-        closure_rank, basis = closure
+        # these modules satisfy no relation, so the F_p certificate of the
+        # oracles, which rests on the sl_2 relations, does not apply: the
+        # exact split is checked alone.  The graded closure stores weight
+        # vectors and the reference the raw images, so the echelon rows
+        # differ; the ranks and spans agree
+        assert split.cocyclic() == (expected == module.dim**2 and split.top_alone)
+        closure_rank, basis = rank(split.top_closure), split.top_basis()
         ref_rank, ref_basis = reference_hw_closure(module)
         assert closure_rank == ref_rank and in_span(ref_basis, basis)
         weights = [entry(module.h0, i, i) for i in range(module.dim)]
@@ -1158,16 +1160,23 @@ class TestOnePassBuild:
     def test_builders_write_a_diagonal_h0(self, factors):
         # `_split` reads the weight spaces off the diagonal of h0, so each
         # row of every h0 the builders write is empty or holds its own
-        # diagonal entry alone, and each weight is one block
+        # diagonal entry alone, and each weight is one block: every weight
+        # over the Gaussian integers, as in `full_split`, and the weights
+        # >= 0 over F_p
         for module in self.built(factors):
             rows = module.h0.rows
             assert all(row == () or (len(row) == 1 and row[0][0] == i) for i, row in enumerate(rows))
+            assert module.h0.den == 1
             diagonal = [row[0][1:] if row else (0, 0) for row in rows]
-            for field in (GaussianInt, echelon.ModP):
+            assert all(im == 0 for _, im in diagonal)
+            nonnegative = {w for w in diagonal if w[0] >= 0}
+            for field, kept in ((GaussianInt, set(diagonal)), (echelon.ModP, nonnegative)):
                 blocks = _split(module, field).blocks
-                assert sorted(i for block in blocks for i in block) == list(range(module.dim))
-                assert len(blocks) == len(set(diagonal))
+                indices = [i for i, w in enumerate(diagonal) if w in kept]
+                assert sorted(i for block in blocks for i in block) == indices
+                assert len(blocks) == len(kept)
                 assert all(len({diagonal[i] for i in block}) == 1 for block in blocks)
+            assert _split(module, GaussianInt).blocks == full_split(module, echelon.ModP).blocks
 
     @staticmethod
     def oracles(module):
@@ -1260,8 +1269,9 @@ class TestSharedLiftAndClosure:
         module = tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(2)))
         assert hw_closure(module) == hw_closure(module)
         assert burnside_dim(module) == 16
-        # closure (a) once, shared, and closure (b) once, both mod p
-        assert saturation_lengths == [(echelon.ModP, [1, 2, 1])] * 2
+        # closure (a) once, shared, and closure (b) once, both mod p on the
+        # weight spaces 0 and 2 alone
+        assert saturation_lengths == [(echelon.ModP, [2, 1])] * 2
         saturation_lengths.clear()
         # the cyclic but reducible local Weyl module of 0, 1: closure (a) is
         # full mod p, so it is never made exactly; closure (b) fails mod p,
@@ -1270,8 +1280,8 @@ class TestSharedLiftAndClosure:
         assert hw_closure(module) == hw_closure(module)
         assert burnside_dim(module) == 13
         assert saturation_lengths == [
-            (echelon.ModP, [1, 2, 1]),
-            (echelon.ModP, [1, 2, 1]),
+            (echelon.ModP, [2, 1]),
+            (echelon.ModP, [2, 1]),
             (GaussianInt, [1, 2, 1]),
             *CLASSES_OF_FOUR,
         ]
@@ -1299,13 +1309,27 @@ def a1_words(draw):
     return [(1, base + s) for s in draw(st.lists(shift, min_size=2, max_size=5))]
 
 
+def ranks_by_weight(module, echelons):
+    """The ranks of echelon forms, one per weight block of the module's exact
+    split, keyed by the weight of the block."""
+    weights = [row[0][1] if row else 0 for row in module.h0.rows]
+    return {weights[b[0]]: e.rank for b, e in zip(module._weight_split.blocks, echelons)}
+
+
 def ranks_from_the_top(module, echelons):
     """The ranks of echelon forms, one per weight block of the module's
     split, listed from the top weight down."""
-    weights = [row[0][1] if row else 0 for row in module.h0.rows]
-    blocks = module._weight_split.blocks
-    ranks = sorted(((weights[b[0]], e.rank) for b, e in zip(blocks, echelons)), reverse=True)
-    return [r for _, r in ranks]
+    return [r for _, r in sorted(ranks_by_weight(module, echelons).items(), reverse=True)]
+
+
+def transposed_closure(split):
+    """Echelon forms, block by block, of closure (b) as `Split.cocyclic`
+    makes it: the top coordinate functional under the transposed pieces."""
+    transposed = [
+        (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
+        for source, target, op in split.pieces
+    ]
+    return split._closure(transposed)
 
 
 class TestReversedWord:
@@ -1321,12 +1345,7 @@ class TestReversedWord:
         word = word_module(factors)
         closure_a = ranks_from_the_top(word, word._weight_split.top_closure)
         reversed_word = word_module(factors[::-1])
-        split = reversed_word._weight_split
-        transposed = [
-            (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
-            for source, target, op in split.pieces
-        ]
-        return closure_a, ranks_from_the_top(reversed_word, split._closure(transposed))
+        return closure_a, ranks_from_the_top(reversed_word, transposed_closure(reversed_word._weight_split))
 
     # deficient closures (a), frozen; read in the word's own order, (b)
     # differs from (a) on each of them
@@ -1345,6 +1364,86 @@ class TestReversedWord:
     def test_closure_a_of_word_equals_closure_b_of_reversed_word(self, factors):
         closure_a, closure_b = self.closures(factors)
         assert closure_a == closure_b
+
+
+def reference_dual_rank(module):
+    """Rank of closure (b) on CRational entries: the closure of the top
+    coordinate functional under the transposed generators."""
+    ops = [[(j, i, x) for i, j, x in g] for g in reference_generators(module)]
+    return len(reference_saturate(ops, [unit(module.dim, module.top_index)]).rows)
+
+
+def untouched_by_p(factors):
+    """p divides no numerator and no denominator of a nonzero part of a
+    parameter of the word."""
+    p = echelon.P
+    return all(x == 0 or (x.numerator % p and x.denominator % p) for _, a in factors for x in (a.re, a.im))
+
+
+class TestWeightsAtLeastZero:
+    """The F_p pass of the oracles sweeps the weight spaces of weight >= 0
+    alone (`_split` over `echelon.ModP`).  It is sound: each closure it finds
+    full is full exactly, and a word it finds irreducible has the full
+    algebra.  It is complete on words whose parameters p does not divide: its
+    verdicts are those of the sweep over every weight space (`full_split`)."""
+
+    @given(
+        factors=st.one_of(
+            st.builds(
+                lambda factors, base: [(m, base + k + CRational(re, im)) for m, k, re, im in factors],
+                mod_p_factors,
+                gaussian_parameters,
+            ),
+            a1_words(),
+        )
+    )
+    # the planted pair 0, 1; a gap of 1 + p, deficient mod p on every
+    # weight; and a denominator p, which makes both parameters one mod p
+    @example(factors=[(1, cr(0)), (1, cr(1))])
+    @example(factors=[(1, cr(0)), (1, cr(1 + echelon.P))])
+    @example(factors=[(1, cr(Fraction(1, echelon.P))), (1, cr(Fraction(1, echelon.P) + 3))])
+    @settings(max_examples=80, deadline=None)
+    def test_half_sweep_against_full_sweep(self, factors):
+        # words up to dim 16; the algebra reference runs up to dim 8
+        assume(prod(m + 1 for m, _ in factors) <= 16)
+        module = word_module(factors)
+        n = module.dim
+        half, full = _split(module, echelon.ModP), full_split(module, echelon.ModP)
+        assert half.top_alone and full.top_alone
+        if half.top_full():
+            assert reference_hw_closure(module)[0] == n
+        if half.dual_full():
+            assert reference_dual_rank(module) == n
+        if half.cocyclic():
+            assert burnside_dim(module) == exact_path(module)[1] == n * n
+            if n <= 8:
+                assert reference_burnside_dim(module) == n * n
+        if untouched_by_p(factors):
+            assert (half.top_full(), half.dual_full()) == (full.top_full(), full.dual_full())
+
+
+class TestSymmetricRanks:
+    """The lemma the F_p certificate rests on: the exact closures (a) and (b)
+    of an A1 word are sl_2-modules, so each has the same rank in the weights
+    mu and -mu."""
+
+    @staticmethod
+    def assert_symmetric(factors):
+        word = word_module(factors)
+        split = word._weight_split
+        for echelons in (split.top_closure, transposed_closure(split)):
+            ranks = ranks_by_weight(word, echelons)
+            assert all(ranks[-mu] == r for mu, r in ranks.items()), ranks
+
+    @pytest.mark.parametrize("factors, ranks", TestReversedWord.FROZEN)
+    def test_frozen_deficient_words(self, factors, ranks):
+        assert ranks == ranks[::-1]
+        self.assert_symmetric(factors)
+
+    @given(factors=a1_words())
+    @settings(max_examples=60, deadline=None)
+    def test_ranks_in_mu_and_minus_mu_agree(self, factors):
+        self.assert_symmetric(factors)
 
 
 class TestA1CyclicityCriterion:
