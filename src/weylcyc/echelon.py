@@ -332,9 +332,9 @@ class Split:
     The blocks cover the whole basis, or, over `ModP` alone, part of it:
     then the split is that of the kept space, the sum of the blocks, under
     the matrices cut down to it, and top is in a block.  Only `sl2` builds
-    such a split, on the weights >= 0 of a module whose generators map each
-    weight space into one weight space, so that a vector of the kept space
-    is sent either into it or out of it whole.
+    such a split, on the weights >= 0 of a module of its builders, whose
+    generators map each weight space into one weight space, so that a
+    vector of the kept space is sent either into it or out of it whole.
     """
 
     def __init__(self, field, mats, blocks: list[list[int]], top: int):
@@ -393,15 +393,20 @@ class Split:
         the whole kept space."""
         return rank(self.top_closure) == len(self.where)
 
-    def dual_full(self) -> bool:
-        """Closure (b) of `cocyclic`, made on each call: the closure of the
-        top coordinate functional under the transposed pieces fills every
-        block, so it is the whole dual of the kept space."""
+    def dual_closure(self) -> list:
+        """Echelon forms, block by block, of closure (b) of `cocyclic`, made
+        on each call: the closure of the top coordinate functional under the
+        transposed pieces."""
         transposed = [
             (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
             for source, target, op in self.pieces
         ]
-        return rank(self._closure(transposed)) == len(self.where)
+        return self._closure(transposed)
+
+    def dual_full(self) -> bool:
+        """Closure (b) of `cocyclic`: dual_closure fills every block, so it
+        is the whole dual of the kept space."""
+        return rank(self.dual_closure()) == len(self.where)
 
     def cocyclic(self) -> bool:
         """A is the algebra of all matrices, decided by two closures of

@@ -39,7 +39,11 @@ V itself.  So a closure full mod p on every weight >= 0 is N = V.  Closure
 (b) is closure (a) of the dual module, X -> -X^T, whose Cartan element
 -h0 has the same weights, so the same blocks certify it.  This holds for
 modules that satisfy the sl_2 relations, which every built module does; a
-split over part of the basis is made here and nowhere else.
+split over part of the basis is made here and nowhere else.  `irrep_Wm`,
+and `tensor` on two such modules, mark the module they make; a module made
+by hand through the constructor, or rebuilt by pickle, is not marked, may
+violate the relations or have its top in a negative weight, and its F_p
+split keeps every weight space.
 """
 
 from __future__ import annotations
@@ -105,7 +109,9 @@ class Sl2Module(Record):
     the product of the factors' tops.  The modules are those of tensor
     words, which only `irrep_Wm` and `tensor` construct: they satisfy the
     Yangian relations and their h0 is diagonal.  The constructor sets the
-    fields and checks none of them.
+    fields and checks none of them.  The private slot _built is set by those
+    builders alone, so a module made or rebuilt through the constructor is
+    not taken to satisfy any relation (see `_split`).
 
     The module is immutable, so its `Split` over `ModP` and its `Split`
     over `GaussianInt` (the generators' numerators cut between weight
@@ -114,7 +120,7 @@ class Sl2Module(Record):
     pickling see the generators and top_index.
     """
 
-    __slots__ = ("xp", "xm", "h0", "hbar1", "top_index", "__dict__")
+    __slots__ = ("xp", "xm", "h0", "hbar1", "top_index", "_built", "__dict__")
     xp: SparseMatrix
     xm: SparseMatrix
     h0: SparseMatrix
@@ -124,6 +130,11 @@ class Sl2Module(Record):
     @property
     def dim(self) -> int:
         return self.xp.n
+
+    @property
+    def _of_builders(self) -> bool:
+        """Made by `irrep_Wm`, or by `tensor` from two such modules."""
+        return getattr(self, "_built", False)
 
     @cached_property
     def _mod_p_split(self) -> Split:
@@ -172,7 +183,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     im = a.im.numerator * (den // a.im.denominator)
     half = den // 2
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
-    return Sl2Module(
+    module = Sl2Module(
         *_ladder(m),
         # hbar1: den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
         # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
@@ -185,6 +196,8 @@ def irrep_Wm(m: int, a) -> Sl2Module:
         ),
         m,  # the top index
     )
+    _set(module, "_built", True)
+    return module
 
 
 def _summed(entries: list[tuple[int, int, int]]) -> Row:
@@ -251,23 +264,28 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
     -2 x0^- x x0^+.  The combined basis orders the left index slowest, and the
     top is the product of tops.  Each generator is built in one pass on its
     numerators.  hbar1 takes one denominator for all three terms, since the
-    hbar1 of a product adds the hbar1 of its factors.
+    hbar1 of a product adds the hbar1 of its factors.  The product of two
+    modules of the builders is marked as one.
     """
-    return Sl2Module(
+    module = Sl2Module(
         _coproduct(m1.xp, m2.xp),
         _coproduct(m1.xm, m2.xm),
         _coproduct(m1.h0, m2.h0),
         _coproduct(m1.hbar1, m2.hbar1, (m1.xm, m2.xp)),
         m1.top_index * m2.dim + m2.top_index,
     )
+    if m1._of_builders and m2._of_builders:
+        _set(module, "_built", True)
+    return module
 
 
 def _split(module: Sl2Module, field) -> Split:
     """The generators split by the field between the weight spaces of h0,
     the diagonal that every module of this module's builders has: blocks in
-    order of first appearance, with the top index.  The `ModP` split keeps
-    the weight spaces of weight >= 0 alone, which certify a full closure
-    (see the module docstring); the `GaussianInt` split keeps them all.
+    order of first appearance, with the top index.  The `ModP` split of a
+    module of the builders keeps the weight spaces of weight >= 0 alone,
+    which certify a full closure (see the module docstring); every other
+    split keeps them all, so a module made by hand is swept in full.
 
     Each projection E_nu onto a weight space is a polynomial in h0, so the
     algebra the generators span holds the E_nu and is the one `Split` sees;
@@ -276,7 +294,7 @@ def _split(module: Sl2Module, field) -> Split:
     groups = {}
     for i, row in enumerate(module.h0.rows):
         groups.setdefault(row[0][1:] if row else (0, 0), []).append(i)
-    if field is ModP:
+    if field is ModP and module._of_builders:
         groups = {weight: block for weight, block in groups.items() if weight[0] >= 0}
     return Split(field, (module.xp, module.xm, module.hbar1), list(groups.values()), module.top_index)
 
@@ -285,11 +303,11 @@ def hw_closure(module: Sl2Module) -> tuple[int, list[list[CRational]]]:
     """Smallest subspace containing the top vector and invariant under the
     generators, by iterated application of x0+, x0- and hbar1 and row
     reduction to a fixpoint (`Split.top_closure`).  The closure runs over
-    F_p first, on the weight spaces of weight >= 0 alone; a closure that
-    fills each of them mod p is the whole module (see the module
-    docstring).  Otherwise it runs again by fraction-free elimination over
-    the Gaussian integers on every weight space.  Every result is the exact
-    one.
+    F_p first, on the weight spaces of weight >= 0 alone for a module of the
+    builders and on all of them for one made by hand; a closure that fills
+    each of them mod p is the whole module (see the module docstring).
+    Otherwise it runs again by fraction-free elimination over the Gaussian
+    integers on every weight space.  Every result is the exact one.
 
     Returns the dimension and an echelon basis, each vector with lead entry
     1, in increasing pivot order: the unit basis of the whole module when
@@ -326,13 +344,14 @@ def burnside_dim(module: Sl2Module) -> int:
     once on the diagonal of h0, and every rank-1 tensor word passes it.  Its
     closure (a) is the one `hw_closure` makes; both closures are cut from
     x0+, x0- and hbar1.  The test runs over F_p first, on the weight spaces
-    of weight >= 0 alone, where closures (a) and (b) that fill each of them
-    are full exactly (see the module docstring).  When it fails there, each
-    closure that was not full mod p is made again exactly on every weight
-    space, and a closure already full mod p is not.  When the guard or an
-    exact closure fails, the algebra is saturated exactly, one column class
-    A E_nu per h0-weight nu (`Split.algebra_rank`), and its rank is
-    returned.
+    of weight >= 0 alone for a module of the builders, where closures (a)
+    and (b) that fill each of them are full exactly (see the module
+    docstring), and on all of them for one made by hand.  When it fails
+    there, each closure that was not full mod p is made again exactly on
+    every weight space, and a closure already full mod p is not.  When the
+    guard or an exact closure fails, the algebra is saturated exactly, one
+    column class A E_nu per h0-weight nu (`Split.algebra_rank`), and its
+    rank is returned.
     """
     n = module.dim
     fast = module._mod_p_split

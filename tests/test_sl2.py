@@ -1,3 +1,4 @@
+import pickle
 import random
 from bisect import insort
 from fractions import Fraction
@@ -1004,13 +1005,14 @@ class TestWeightBlocksOnHandBuiltModules:
         expected = reference_burnside_dim(module)
         split = (_split if diagonal_h0 else one_block_split)(integral, GaussianInt)
         assert split.algebra_rank() == expected
-        # these modules satisfy no relation, so the F_p certificate of the
-        # oracles, which rests on the sl_2 relations, does not apply: the
-        # exact split is checked alone.  The graded closure stores weight
-        # vectors and the reference the raw images, so the echelon rows
-        # differ; the ranks and spans agree
-        assert split.cocyclic() == (expected == module.dim**2 and split.top_alone)
-        closure_rank, basis = rank(split.top_closure), split.top_basis()
+        if diagonal_h0:
+            assert burnside_dim(integral) == expected
+            closure = hw_closure(integral)
+        else:
+            closure = rank(split.top_closure), split.top_basis()
+        # the graded closure stores weight vectors and the reference the raw
+        # images, so the echelon rows differ; the ranks and spans agree
+        closure_rank, basis = closure
         ref_rank, ref_basis = reference_hw_closure(module)
         assert closure_rank == ref_rank and in_span(ref_basis, basis)
         weights = [entry(module.h0, i, i) for i in range(module.dim)]
@@ -1322,16 +1324,6 @@ def ranks_from_the_top(module, echelons):
     return [r for _, r in sorted(ranks_by_weight(module, echelons).items(), reverse=True)]
 
 
-def transposed_closure(split):
-    """Echelon forms, block by block, of closure (b) as `Split.cocyclic`
-    makes it: the top coordinate functional under the transposed pieces."""
-    transposed = [
-        (target, source, tuple([(j, i, x) for i, j, x in part] for part in op))
-        for source, target, op in split.pieces
-    ]
-    return split._closure(transposed)
-
-
 class TestReversedWord:
     """Metamorphic relation between the two closures of `Split.cocyclic`:
     closure (a) of an A1 word, the top vector under the generators, has in
@@ -1345,7 +1337,7 @@ class TestReversedWord:
         word = word_module(factors)
         closure_a = ranks_from_the_top(word, word._weight_split.top_closure)
         reversed_word = word_module(factors[::-1])
-        return closure_a, ranks_from_the_top(reversed_word, transposed_closure(reversed_word._weight_split))
+        return closure_a, ranks_from_the_top(reversed_word, reversed_word._weight_split.dual_closure())
 
     # deficient closures (a), frozen; read in the word's own order, (b)
     # differs from (a) on each of them
@@ -1422,6 +1414,41 @@ class TestWeightsAtLeastZero:
             assert (half.top_full(), half.dual_full()) == (full.top_full(), full.dual_full())
 
 
+class TestHandBuiltModulesSweptInFull:
+    """The F_p half sweep rests on the sl_2 relations, which only the modules
+    of `irrep_Wm` and `tensor` are known to satisfy.  A module made through
+    the constructor, a copy of a built one or a pickle included, is swept
+    on every weight space."""
+
+    @pytest.mark.parametrize("top", [0, 1])
+    def test_planted_module_without_relations(self, top):
+        # zero generators and h0 = diag(2, -2): the top vector alone spans its
+        # closure, and the algebra is the diagonal one.  The half sweep would
+        # call the module cyclic and irreducible for top 0, and find no block
+        # for top 1
+        zero = SparseMatrix(((), ()))
+        module = Sl2Module(zero, zero, SparseMatrix((((0, 2, 0),), ((1, -2, 0),))), zero, top)
+        assert not module._of_builders
+        assert _split(module, echelon.ModP).blocks == [[0], [1]]
+        assert hw_closure(module) == (1, [unit(2, top)])
+        assert burnside_dim(module) == 2
+
+    def test_copies_of_built_modules(self):
+        built = word_module([(1, cr(0)), (1, cr(2))])
+        assert built._of_builders
+        # the weights 0 and 2, against -2, 0 and 2 for the copies
+        assert _split(built, echelon.ModP).blocks == [[1, 2], [3]]
+        for module in (Sl2Module(*built._values()), pickle.loads(pickle.dumps(built))):
+            assert module == built and not module._of_builders
+            assert _split(module, echelon.ModP).blocks == full_split(module, echelon.ModP).blocks
+            assert hw_closure(module) == hw_closure(built)
+            assert burnside_dim(module) == burnside_dim(built) == 16
+        copy = Sl2Module(*irrep_Wm(1, cr(1))._values())
+        assert tensor(irrep_Wm(1, cr(0)), irrep_Wm(1, cr(1)))._of_builders
+        assert not tensor(irrep_Wm(1, cr(0)), copy)._of_builders
+        assert not tensor(copy, irrep_Wm(1, cr(0)))._of_builders
+
+
 class TestSymmetricRanks:
     """The lemma the F_p certificate rests on: the exact closures (a) and (b)
     of an A1 word are sl_2-modules, so each has the same rank in the weights
@@ -1431,7 +1458,7 @@ class TestSymmetricRanks:
     def assert_symmetric(factors):
         word = word_module(factors)
         split = word._weight_split
-        for echelons in (split.top_closure, transposed_closure(split)):
+        for echelons in (split.top_closure, split.dual_closure()):
             ranks = ranks_by_weight(word, echelons)
             assert all(ranks[-mu] == r for mu, r in ranks.items()), ranks
 
