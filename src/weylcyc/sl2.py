@@ -11,6 +11,10 @@ The modules are those of tensor words, built by `irrep_Wm`, `tensor` and
 `word_module` and by nothing else: they satisfy the Yangian relations and
 their h0 is diagonal, so its weight spaces are read off its diagonal.
 Matrices built by hand, which need neither, go to `echelon.Split` directly.
+On a word W_{m_1}(a_1) x ... x W_{m_k}(a_k), x0+, x0- and h0 act as sl_2 on
+the product of the (m_i+1)-dimensional irreducibles, whatever the a_i, so
+they are made once per shape (m_1, ..., m_k) and shared (`_ladder`); only
+hbar1 is built per word.
 
 Each generator is a `SparseMatrix`: Gaussian-integer numerators over one
 positive int denominator.  Modules are built on those ints, with no
@@ -43,7 +47,8 @@ split over part of the basis is made here and nowhere else.  `irrep_Wm`,
 and `tensor` on two such modules, mark the module they make; a module made
 by hand through the constructor, or rebuilt by pickle, is not marked, may
 violate the relations or have its top in a negative weight, and its F_p
-split keeps every weight space.
+split keeps every weight space.  The mark is the module's shape, and an
+unmarked module's is ().
 """
 
 from __future__ import annotations
@@ -109,9 +114,11 @@ class Sl2Module(Record):
     the product of the factors' tops.  The modules are those of tensor
     words, which only `irrep_Wm` and `tensor` construct: they satisfy the
     Yangian relations and their h0 is diagonal.  The constructor sets the
-    fields and checks none of them.  The private slot _built is set by those
+    fields and checks none of them.  The private slot _built holds the
+    module's shape, its factor sizes (m_1, ..., m_k), and is set by those
     builders alone, so a module made or rebuilt through the constructor is
-    not taken to satisfy any relation (see `_split`).
+    not taken to satisfy any relation (see `_split`), and its products build
+    all four generators (see `tensor`).
 
     The module is immutable, so its `Split` over `ModP` and its `Split`
     over `GaussianInt` (the generators' numerators cut between weight
@@ -132,9 +139,11 @@ class Sl2Module(Record):
         return self.xp.n
 
     @property
-    def _of_builders(self) -> bool:
-        """Made by `irrep_Wm`, or by `tensor` from two such modules."""
-        return getattr(self, "_built", False)
+    def _of_builders(self) -> tuple[int, ...]:
+        """The shape (m_1, ..., m_k) of W_{m_1}(a_1) x ... x W_{m_k}(a_k)
+        when `irrep_Wm` made the module, or `tensor` from two such modules;
+        () otherwise."""
+        return getattr(self, "_built", ())
 
     @cached_property
     def _mod_p_split(self) -> Split:
@@ -152,9 +161,15 @@ def _diagonal(values: Iterable[tuple[int, int]], den: int = 1) -> SparseMatrix:
 
 
 @lru_cache(maxsize=8)
-def _ladder(m: int) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-    """x0+, x0- and h0 of W_m(a), which do not depend on a: made once per m
-    and shared, since matrices are immutable."""
+def _ladder(shape: tuple[int, ...]) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
+    """x0+, x0- and h0 of W_{m_1}(a_1) x ... x W_{m_k}(a_k), where shape is
+    (m_1, ..., m_k): they do not depend on the a_i, so they are made once
+    per shape and shared, since matrices are immutable.  A product's are the
+    coproducts of those of its last split, all factors but the last and the
+    last."""
+    if len(shape) > 1:
+        return tuple(map(_coproduct, _ladder(shape[:-1]), _ladder(shape[-1:])))
+    (m,) = shape
     return (
         # x0+ w_s = (s+1) w_{s+1} and x0- w_{s+1} = (m-s) w_s
         SparseMatrix(((),) + tuple(((s, s + 1, 0),) for s in range(m))),
@@ -184,7 +199,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
     half = den // 2
     weights = range(-m, m + 1, 2)  # h0 w_s = (2s-m) w_s
     module = Sl2Module(
-        *_ladder(m),
+        *_ladder((m,)),
         # hbar1: den times the eigenvalue of h_1 - h_0^2/2 on w_s, linear in a:
         # (2s-m) a + s(3s-2m-1) - (2s-m)^2/2
         _diagonal(
@@ -196,7 +211,7 @@ def irrep_Wm(m: int, a) -> Sl2Module:
         ),
         m,  # the top index
     )
-    _set(module, "_built", True)
+    _set(module, "_built", (m,))
     return module
 
 
@@ -265,17 +280,23 @@ def tensor(m1: Sl2Module, m2: Sl2Module) -> Sl2Module:
     top is the product of tops.  Each generator is built in one pass on its
     numerators.  hbar1 takes one denominator for all three terms, since the
     hbar1 of a product adds the hbar1 of its factors.  The product of two
-    modules of the builders is marked as one.
+    modules of the builders is marked with the concatenation of their
+    shapes, and takes x0^±, h0 from `_ladder` of that shape: only its hbar1,
+    which depends on the spectral parameters, is built here.  A product with
+    an unmarked factor builds all four and is unmarked.
     """
+    shape = m1._of_builders + m2._of_builders if m1._of_builders and m2._of_builders else ()
+    if shape:
+        ladder = _ladder(shape)
+    else:
+        ladder = (_coproduct(m1.xp, m2.xp), _coproduct(m1.xm, m2.xm), _coproduct(m1.h0, m2.h0))
     module = Sl2Module(
-        _coproduct(m1.xp, m2.xp),
-        _coproduct(m1.xm, m2.xm),
-        _coproduct(m1.h0, m2.h0),
+        *ladder,
         _coproduct(m1.hbar1, m2.hbar1, (m1.xm, m2.xp)),
         m1.top_index * m2.dim + m2.top_index,
     )
-    if m1._of_builders and m2._of_builders:
-        _set(module, "_built", True)
+    if shape:
+        _set(module, "_built", shape)
     return module
 
 
@@ -283,9 +304,11 @@ def _split(module: Sl2Module, field) -> Split:
     """The generators split by the field between the weight spaces of h0,
     the diagonal that every module of this module's builders has: blocks in
     order of first appearance, with the top index.  The `ModP` split of a
-    module of the builders keeps the weight spaces of weight >= 0 alone,
-    which certify a full closure (see the module docstring); every other
-    split keeps them all, so a module made by hand is swept in full.
+    module of the builders, marked with its shape, keeps the weight spaces
+    of weight >= 0 alone, which certify a full closure (see the module
+    docstring); every other split keeps them all, so a module made by hand,
+    whose mark is (), is swept in full.  Words of one shape share their h0
+    (see `_ladder`), hence their blocks.
 
     Each projection E_nu onto a weight space is a polynomial in h0, so the
     algebra the generators span holds the E_nu and is the one `Split` sees;

@@ -1199,6 +1199,45 @@ class TestOnePassBuild:
             integral_module(exact_word_module(factors))
         )
 
+    def test_marks_are_shapes(self):
+        w1, w3 = irrep_Wm(1, cr(0)), irrep_Wm(3, cr(Fraction(1, 3), 1))
+        assert (w1._of_builders, w3._of_builders) == ((1,), (3,))
+        assert tensor(w3, tensor(w1, w3))._of_builders == (3, 1, 3)
+        word = word_module([(2, cr(1)), (1, cr(0))])
+        assert word._of_builders == (2, 1)
+        for module in (Sl2Module(*word._values()), pickle.loads(pickle.dumps(word))):
+            assert module == word and module._of_builders == ()
+
+    @given(
+        factors=st.lists(
+            st.tuples(st.integers(1, 3), st.one_of(gaussian_params, coprime_params, gaussian_parameters)),
+            min_size=3,
+            max_size=3,
+        ),
+        shift=st.one_of(gaussian_params, coprime_params),
+    )
+    @example(factors=[(1, cr(Fraction(1, 3), 2)), (3, cr(0, Fraction(-1, 3))), (2, cr(echelon.P, 1))], shift=cr(1))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_ladders_equal_coproducts(self, factors, shift):
+        # x0+-, h0 of a product of marked modules come from `_ladder` of its
+        # shape; those of a product with an unmarked factor from `_coproduct`
+        irreps = [irrep_Wm(m, a) for m, a in factors]
+        left = tensor(tensor(*irreps[:2]), irreps[2])
+        right = tensor(irreps[0], tensor(*irreps[1:]))
+        other = word_module([(m, a + shift) for m, a in factors])
+        shape = tuple(m for m, _ in factors)
+        assert left == right and left._of_builders == right._of_builders == other._of_builders == shape
+        for name in ("xp", "xm", "h0"):
+            assert getattr(left, name) is getattr(right, name) is getattr(other, name)
+        # exact_word_module tensors by `reference.exact_tensor`
+        assert exact_module(left) == exact_word_module(factors)
+        copies = [Sl2Module(*module._values()) for module in irreps]
+        for i in range(3):
+            mixed = irreps[:i] + copies[i : i + 1] + irreps[i + 1 :]
+            for product in (tensor(tensor(*mixed[:2]), mixed[2]), tensor(mixed[0], tensor(*mixed[1:]))):
+                assert product == left and product._of_builders == ()
+        assert tensor(tensor(*copies[:2]), copies[2]) == left
+
 
 class TestOnePassCut:
     """Each field's one-pass `cut` against `reference_cut`, the field's
